@@ -188,9 +188,7 @@ object Tables {
       val latScale = base.stats.rates.sum * base.stats.window
       val alphaEff = alpha * base.cost / math.max(latScale, 1e-9)
       val branch = Planner.planSimple(sp, provider, algo, AnyMatch, alphaEff)
-      val engine: CepEngine =
-        if (branch.plan.isLeft) new NfaEngine(branch, cfgEng) else new TreeEngine(branch, cfgEng)
-      val r = engine.run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events))
+      val r = CepEngine.forBranch(branch, cfgEng).run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events))
       val cm = branch.costModel
       LatPoint(algo, alpha,
         if (r.stats.wallNanos == 0) 0 else events.length * 1e9 / r.stats.wallNanos,

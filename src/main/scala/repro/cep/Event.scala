@@ -37,7 +37,10 @@ final case class CepMatch(byElem: Vector[Vector[Long]], minTs: Double)
   * @param events        primitive events processed
   * @param matches       full matches emitted
   * @param pmCreated     partial matches (NFA levels / tree-node instances) created
-  * @param peakLivePm    peak number of simultaneously live partial matches
+  * @param peakLivePm    peak number of partial matches the engine held. An
+  *                      expired one is released when a scan of its list next
+  *                      passes it or by the sweep every 1024 events, so this is
+  *                      at or above the exact in-window peak
   * @param peakBuffered  peak number of buffered primitive events
   * @param wallNanos     total processing wall time
   * @param latencyNanosSum sum over matches of (emission time − start of
@@ -78,4 +81,12 @@ final case class RunResult(stats: RunStats, matches: Vector[CepMatch], capped: B
 trait CepEngine {
   /** Process `events` (must be sorted by (ts, serial)) and report matches/stats. */
   def run(events: IndexedSeq[Event]): RunResult
+}
+
+object CepEngine {
+  /** The engine of a planned branch: [[NfaEngine]] for an order plan,
+    * [[TreeEngine]] for a tree plan.
+    */
+  def forBranch(branch: PlannedBranch, config: EngineConfig = EngineConfig()): CepEngine =
+    if (branch.plan.isLeft) new NfaEngine(branch, config) else new TreeEngine(branch, config)
 }

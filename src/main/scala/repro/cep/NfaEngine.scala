@@ -2,7 +2,6 @@ package repro.cep
 
 import repro.core._
 import scala.collection.mutable
-import scala.util.control.ControlThrowable
 
 /** Instance-based, out-of-order, order-based evaluation engine — the lazy-NFA
   * mechanism of §2.2 ([28, 29] in the paper), generalized with the §5/§6
@@ -22,33 +21,34 @@ import scala.util.control.ControlThrowable
   * formulation, and to DuckDB.
   */
 final class NfaEngine(branch: PlannedBranch, config: EngineConfig = EngineConfig())
-    extends CepEngine {
-  require(branch.plan.isLeft, "NfaEngine needs an order-based plan")
+    extends EngineCore[NfaEngine.Pm](
+      branch, config,
+      bufferedElems = Array.fill(branch.positive.size)(true),
+      elemSlot = NfaEngine.planPos(branch),
+      nLists = branch.positive.size, // index = level, 1..n-1 used
+    ) {
+  import NfaEngine.Pm
 
-  private val positive = branch.positive
-  private val n = positive.size
-  private val W = positive.window
   private val order = branch.plan.swap.getOrElse(sys.error("unreachable")).order
-  private val planPos: Array[Int] = {
-    val a = Array.fill(n)(-1); order.zipWithIndex.foreach { case (e, p) => a(e) = p }; a
-  }
+  private val planPos: Array[Int] = NfaEngine.planPos(branch)
   private val elemAtPos: Array[Int] = order.toArray
   private val kleeneAtPos: Array[Boolean] = order.map(e => positive.elems(e).kleene).toArray
-  private val consuming = branch.strategy != AnyMatch
 
-  /** Predicates to verify when binding plan position p: (otherPos, op, curIsLeft). */
-  private val predsAt: Array[Array[(Int, PredOp, Boolean)]] = {
+  /** Predicates to verify when binding plan position p, as parallel arrays:
+    * the other side's plan position, the operator, and whether the bound
+    * event is the left side. Pred(i, j, op) evaluates eval(op, e_i, e_j); when
+    * planPos(i) is bound after planPos(j), the current event takes the left
+    * side.
+    */
+  private val (predOther, predOp, predCurLeft) = {
     val acc = Array.fill(n)(mutable.ArrayBuffer.empty[(Int, PredOp, Boolean)])
     positive.preds.foreach { case Pred(i, j, op) =>
       val (pi, pj) = (planPos(i), planPos(j))
-      if (pi > pj) acc(pi) += ((pj, op, true)) // binding i; bound j is the right side? no:
+      if (pi > pj) acc(pi) += ((pj, op, true))
       else acc(pj) += ((pi, op, false))
     }
-    acc.map(_.toArray)
+    (acc.map(_.map(_._1).toArray), acc.map(_.map(_._2).toArray), acc.map(_.map(_._3).toArray))
   }
-  // NB: curIsLeft refers to the *pattern* sides: Pred(i, j, op) evaluates
-  // eval(op, e_i, e_j). When binding position planPos(i) later than planPos(j),
-  // the current event takes the i (left) side.
 
   /** Negation specs grouped by trigger level (= max planPos of deps + 1). */
   private val negByLevel: Array[Array[Int]] = {
@@ -60,83 +60,32 @@ final class NfaEngine(branch: PlannedBranch, config: EngineConfig = EngineConfig
     }
     acc.map(_.toArray)
   }
-  private val negTypeToSpec: Map[Int, Int] =
-    branch.negs.zipWithIndex.map { case (s, k) => s.elem.typeId -> k }.toMap
-  private val typeToElem: Map[Int, Int] =
-    positive.elems.zipWithIndex.map { case (e, i) => e.typeId -> i }.toMap
 
-  /** A partial match binding plan positions 0..level-1. `bound` holds an Event,
-    * or an Array[Event] for a Kleene position.
+  /** Extend every live level-`p` partial match with `e`, dropping expired and
+    * dead ones from the level as the scan passes them.
     */
-  private final class Pm(
-      val bound: Array[AnyRef],
-      val level: Int,
-      val minTs: Double,
-      val maxTs: Double,
-  ) { var dead: Boolean = false }
-
-  // --- mutable run state ---
-  private val buffers = Array.fill(n)(mutable.ArrayDeque.empty[Event])
-  private val negBuffers = Array.fill(branch.negs.size)(mutable.ArrayDeque.empty[Event])
-  private val levels = Array.fill(n)(mutable.ArrayBuffer.empty[Pm]) // index = level, 1..n-1 used
-  private val consumed = mutable.HashSet.empty[Long]
-  private var now = Double.NegativeInfinity
-  private var liveCount = 0L
-  private var bufferedCount = 0L
-  private var nEvents = 0L
-  private var nMatches = 0L
-  private var pmCreated = 0L
-  private var peakLive = 0L
-  private var peakBuffered = 0L
-  private var latSum = 0L
-  private var tEventStart = 0L
-  private var out: mutable.ArrayBuffer[CepMatch] = _
-  private var wasCapped = false
-
-  private object Abort extends ControlThrowable
-
-  override def run(events: IndexedSeq[Event]): RunResult = {
-    out = mutable.ArrayBuffer.empty[CepMatch]
-    val t0 = System.nanoTime()
-    try {
+  override protected def onEvent(elem: Int, e: Event): Unit = {
+    val p = planPos(elem)
+    if (p == 0) bindAt(null, 0, e)
+    else {
+      val lvl = lists(p)
+      val sz = lvl.size // children land only at higher levels
+      var gone = 0 // released entries before the first kept one
+      var kept = 0 // kept entries, moved up to follow the `gone` prefix
       var i = 0
-      while (i < events.length) { process(events(i)); i += 1 }
-    } catch { case Abort => wasCapped = true }
-    val wall = System.nanoTime() - t0
-    RunResult(
-      RunStats(nEvents, nMatches, pmCreated, peakLive, peakBuffered, wall, latSum),
-      out.toVector,
-      wasCapped,
-    )
-  }
-
-  private def process(e: Event): Unit = {
-    nEvents += 1
-    now = e.ts
-    evictBuffers()
-    if ((nEvents & 1023) == 0) sweepLevels()
-    negTypeToSpec.get(e.typeId) match {
-      case Some(k) =>
-        negBuffers(k).append(e); bufferedCount += 1
-        if (bufferedCount > peakBuffered) peakBuffered = bufferedCount
-      case None =>
-        typeToElem.get(e.typeId).foreach { elem =>
-          buffers(elem).append(e); bufferedCount += 1
-          if (bufferedCount > peakBuffered) peakBuffered = bufferedCount
-          tEventStart = System.nanoTime()
-          val p = planPos(elem)
-          if (p == 0) bindAt(null, 0, e)
-          else {
-            val lvl = levels(p)
-            var i = 0
-            val sz = lvl.size // snapshot; children land only at higher levels
-            while (i < sz) {
-              val pm = lvl(i)
-              if (!pm.dead && pm.minTs + W >= now) bindAt(pm, p, e)
-              i += 1
-            }
-          }
+      while (i < sz) {
+        val pm = lvl(i)
+        if (!pm.dead && pm.minTs + W >= now) {
+          if (gone + kept != i) lvl(gone + kept) = pm
+          kept += 1
+          bindAt(pm, p, e)
+        } else {
+          if (!pm.dead) expire(pm)
+          if (kept == 0) gone += 1
         }
+        i += 1
+      }
+      lvl.keep(gone, kept, sz)
     }
   }
 
@@ -146,9 +95,7 @@ final class NfaEngine(branch: PlannedBranch, config: EngineConfig = EngineConfig
   private def bindAt(pm: Pm, p: Int, e: Event): Unit =
     if (!kleeneAtPos(p)) {
       if (compatSingle(pm, p, e)) spawn(pm, p, e)
-    } else {
-      kleeneSubsets(pm, p, Some(e)).foreach(sub => spawn(pm, p, sub))
-    }
+    } else if (compatSingle(pm, p, e)) spawnKleene(pm, p, e)
 
   /** Extend a freshly created partial match with already-buffered events of its
     * next plan position, recursively.
@@ -156,44 +103,33 @@ final class NfaEngine(branch: PlannedBranch, config: EngineConfig = EngineConfig
   private def extendForward(pm: Pm, p: Int): Unit =
     if (!kleeneAtPos(p)) {
       val buf = buffers(elemAtPos(p))
-      val it = buf.iterator
-      while (it.hasNext) {
-        val b = it.next()
-        if (compatSingle(pm, p, b)) spawn(pm, p, b)
-      }
-    } else {
-      kleeneSubsets(pm, p, None).foreach(sub => spawn(pm, p, sub))
-    }
-
-  /** All candidate Kleene bindings at position p: non-empty subsets of buffered
-    * compatible events, each including `mustInclude` when given (the
-    * newly-arrived event path; buffered-only subsets are produced by the
-    * forward path). Buffered events all lie within [now-W, now], so members are
-    * pairwise window-compatible by construction.
-    */
-  private def kleeneSubsets(pm: Pm, p: Int, mustInclude: Option[Event]): Iterator[Array[Event]] = {
-    mustInclude match {
-      case Some(e) if !compatSingle(pm, p, e) => return Iterator.empty
-      case _                                  => ()
-    }
-    val maxSerial = mustInclude.map(_.serial).getOrElse(Long.MaxValue)
-    var base = buffers(elemAtPos(p)).iterator
-      .filter(b => b.serial < maxSerial && compatSingle(pm, p, b))
-      .toArray
-    if (base.length > config.maxKleeneBuffer)
-      base = base.takeRight(config.maxKleeneBuffer)
-    val k = base.length
-    val masks = mustInclude match {
-      case Some(_) => Iterator.range(0, 1 << k) // empty subset allowed: {e} alone
-      case None    => Iterator.range(1, 1 << k)
-    }
-    masks.map { m =>
-      val members = mutable.ArrayBuffer.empty[Event]
       var i = 0
-      while (i < k) { if ((m & (1 << i)) != 0) members += base(i); i += 1 }
-      mustInclude.foreach(members += _)
-      members.toArray
+      while (i < buf.length) {
+        val b = buf(i)
+        if (compatSingle(pm, p, b)) spawn(pm, p, b)
+        i += 1
+      }
+    } else spawnKleene(pm, p, null)
+
+  /** Spawn every candidate Kleene binding at position p: non-empty subsets of
+    * buffered compatible events, each including `mustInclude` when it is not
+    * null (the newly-arrived event path; buffered-only subsets are produced by
+    * the forward path). Buffered events all lie within [now-W, now], so members
+    * are pairwise window-compatible by construction.
+    */
+  private def spawnKleene(pm: Pm, p: Int, mustInclude: Event): Unit = {
+    val buf = buffers(elemAtPos(p))
+    val maxSerial = if (mustInclude == null) Long.MaxValue else mustInclude.serial
+    val compat = mutable.ArrayBuffer.empty[Event]
+    var i = 0
+    while (i < buf.length) {
+      val b = buf(i)
+      if (b.serial < maxSerial && compatSingle(pm, p, b)) compat += b
+      i += 1
     }
+    val base = compat.takeRight(config.maxKleeneBuffer).toArray
+    var m = if (mustInclude == null) 1 else 0 // with `mustInclude`, {e} alone is a binding
+    while (m < (1 << base.length)) { spawn(pm, p, kleeneSubset(base, m, mustInclude)); m += 1 }
   }
 
   /** Window, consumption and predicate compatibility of one candidate event
@@ -202,31 +138,16 @@ final class NfaEngine(branch: PlannedBranch, config: EngineConfig = EngineConfig
   private def compatSingle(pm: Pm, p: Int, ev: Event): Boolean = {
     if (consuming && consumed.contains(ev.serial)) return false
     if (pm != null && (ev.ts + W < pm.maxTs || ev.ts > pm.minTs + W)) return false
-    val preds = predsAt(p)
+    if (pm == null) return true
+    val other = predOther(p)
     var i = 0
-    while (i < preds.length) {
-      val (otherPos, op, curIsLeft) = preds(i)
-      if (pm != null && otherPos < p && otherPos < pm.level) {
-        if (!evalAgainst(pm.bound(otherPos), op, ev, curIsLeft)) return false
-      }
+    while (i < other.length) {
+      val o = other(i)
+      if (o < pm.level && !evalAgainst(pm.bound(o), predOp(p)(i), ev, predCurLeft(p)(i))) return false
       i += 1
     }
     true
   }
-
-  private def evalAgainst(boundVal: AnyRef, op: PredOp, ev: Event, curIsLeft: Boolean): Boolean =
-    boundVal match {
-      case b: Event =>
-        if (curIsLeft) PredEval.eval(op, ev, b) else PredEval.eval(op, b, ev)
-      case arr: Array[Event] =>
-        var i = 0
-        while (i < arr.length) {
-          val ok = if (curIsLeft) PredEval.eval(op, ev, arr(i)) else PredEval.eval(op, arr(i), ev)
-          if (!ok) return false
-          i += 1
-        }
-        true
-    }
 
   /** Create the child partial match, run due negation checks, emit or store+extend. */
   private def spawn(pm: Pm, p: Int, value: AnyRef): Unit = {
@@ -243,143 +164,43 @@ final class NfaEngine(branch: PlannedBranch, config: EngineConfig = EngineConfig
       if (pm == null) vMin else math.min(pm.minTs, vMin),
       if (pm == null) vMax else math.max(pm.maxTs, vMax),
     )
-    pmCreated += 1
-    if (pmCreated > config.pmCap) throw Abort
+    countCreated()
     if (!negOk(child)) return
     if (p + 1 == n) emit(child)
     else {
-      levels(p + 1) += child
-      liveCount += 1
-      if (liveCount > peakLive) peakLive = liveCount
+      hold(p + 1, child)
       extendForward(child, p + 1)
     }
   }
 
-  /** §5.3: for every negation spec whose dependencies became bound at this
-    * level, reject the partial match if a matching negated event exists. Scope:
-    * the negated event must satisfy its predicates against the bound
-    * dependencies and lie within W of each of them.
+  /** §5.3: reject the partial match if a negation spec whose dependencies
+    * became bound at this level finds a matching negated event.
     */
   private def negOk(child: Pm): Boolean = {
     val specs = negByLevel(child.level)
     var s = 0
     while (s < specs.length) {
-      val k = specs(s)
-      val spec = branch.negs(k)
-      val it = negBuffers(k).iterator
-      while (it.hasNext) {
-        val b = it.next()
-        if (!(consuming && consumed.contains(b.serial)) && negMatches(spec, child, b)) return false
-      }
+      if (negBlocked(specs(s), child.bound)) return false
       s += 1
     }
     true
   }
+}
 
-  private def negMatches(spec: NegSpec, child: Pm, b: Event): Boolean = {
-    val deps = spec.dependsOn
-    val depOk = deps.forall { d =>
-      val pos = planPos(d)
-      pos < child.level && (child.bound(pos) match {
-        case e: Event        => math.abs(e.ts - b.ts) <= W
-        case a: Array[Event] => a.forall(e => math.abs(e.ts - b.ts) <= W)
-      })
-    }
-    if (!depOk) return false
-    spec.preds.forall { case NegPred(posIdx, op, negOnLeft) =>
-      val pos = planPos(posIdx)
-      pos < child.level && evalAgainst(child.bound(pos), op, b, negOnLeft)
-    }
-  }
+object NfaEngine {
 
-  private def emit(child: Pm): Unit = {
-    if (consuming) {
-      // An earlier emission during this same arrival may have consumed one of
-      // our constituents — skip-till-next allows each event in one match only.
-      var p = 0
-      while (p < n) {
-        child.bound(p) match {
-          case e: Event        => if (consumed.contains(e.serial)) return
-          case a: Array[Event] => if (a.exists(ev => consumed.contains(ev.serial))) return
-        }
-        p += 1
-      }
-    }
-    nMatches += 1
-    latSum += System.nanoTime() - tEventStart
-    if (config.collectMatches) {
-      val byElem = Vector.tabulate(n) { elem =>
-        child.bound(planPos(elem)) match {
-          case e: Event        => Vector(e.serial)
-          case a: Array[Event] => a.map(_.serial).sorted.toVector
-        }
-      }
-      out += CepMatch(byElem, child.minTs)
-    }
-    if (consuming) {
-      var p = 0
-      while (p < n) {
-        child.bound(p) match {
-          case e: Event        => consumed += e.serial
-          case a: Array[Event] => a.foreach(ev => consumed += ev.serial)
-        }
-        p += 1
-      }
-      killConsumedPms()
-    }
-  }
+  /** A partial match binding plan positions 0..level-1. `bound` holds an Event,
+    * or an Array[Event] for a Kleene position.
+    */
+  private[cep] final class Pm(bound: Array[AnyRef], val level: Int, minTs: Double, maxTs: Double)
+      extends PartialMatch(bound, minTs, maxTs)
 
-  /** After a consumption event, partial matches holding consumed events die. */
-  private def killConsumedPms(): Unit = {
-    var lvl = 1
-    while (lvl < n) {
-      val buf = levels(lvl)
-      var i = 0
-      while (i < buf.size) {
-        val pm = buf(i)
-        if (!pm.dead) {
-          var p = 0
-          var hit = false
-          while (p < pm.level && !hit) {
-            pm.bound(p) match {
-              case e: Event        => hit = consumed.contains(e.serial)
-              case a: Array[Event] => hit = a.exists(ev => consumed.contains(ev.serial))
-            }
-            p += 1
-          }
-          if (hit) { pm.dead = true; liveCount -= 1 }
-        }
-        i += 1
-      }
-      lvl += 1
-    }
-  }
-
-  private def evictBuffers(): Unit = {
-    val cutoff = now - W
-    var i = 0
-    while (i < n) {
-      val buf = buffers(i)
-      while (buf.nonEmpty && buf.head.ts < cutoff) { buf.removeHead(); bufferedCount -= 1 }
-      i += 1
-    }
-    var k = 0
-    while (k < negBuffers.length) {
-      val buf = negBuffers(k)
-      while (buf.nonEmpty && buf.head.ts < cutoff) { buf.removeHead(); bufferedCount -= 1 }
-      k += 1
-    }
-  }
-
-  private def sweepLevels(): Unit = {
-    val cutoff = now - W
-    var lvl = 1
-    while (lvl < n) {
-      val buf = levels(lvl)
-      val before = buf.size
-      buf.filterInPlace(pm => !pm.dead && pm.minTs >= cutoff)
-      liveCount -= before - buf.size
-      lvl += 1
-    }
+  /** Plan position of each positive element. */
+  private def planPos(branch: PlannedBranch): Array[Int] = {
+    require(branch.plan.isLeft, "NfaEngine needs an order-based plan")
+    val order = branch.plan.swap.getOrElse(sys.error("unreachable")).order
+    val a = Array.fill(branch.positive.size)(-1)
+    order.zipWithIndex.foreach { case (e, p) => a(e) = p }
+    a
   }
 }

@@ -2,7 +2,6 @@ package repro.cep
 
 import repro.core._
 import scala.collection.mutable
-import scala.util.control.ControlThrowable
 
 /** Instance-based tree evaluation engine — ZStream (§2.3) modified, as in the
   * paper, to support arbitrary time windows: every arriving event creates a
@@ -16,13 +15,14 @@ import scala.util.control.ControlThrowable
   * skip-till-any (verified by tests).
   */
 final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfig())
-    extends CepEngine {
+    extends EngineCore[TreeEngine.Inst](
+      branch, config,
+      bufferedElems = branch.positive.elems.map(_.kleene).toArray,
+      elemSlot = Array.tabulate(branch.positive.size)(identity),
+      nLists = 2 * branch.positive.size - 1, // one per tree node
+    ) {
   require(branch.plan.isRight, "TreeEngine needs a tree-based plan")
-
-  private val positive = branch.positive
-  private val n = positive.size
-  private val W = positive.window
-  private val consuming = branch.strategy != AnyMatch
+  import TreeEngine.Inst
 
   // --- static tree wiring -------------------------------------------------
   // Node ids: 0..nNodes-1; node 0 is the root. For each node we precompute its
@@ -85,90 +85,22 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     nodes.indices.foreach(id => if (nodes(id).leafElem >= 0) a(nodes(id).leafElem) = id)
     a
   }
-  private val typeToElem: Map[Int, Int] =
-    positive.elems.zipWithIndex.map { case (e, i) => e.typeId -> i }.toMap
-  private val negTypeToSpec: Map[Int, Int] =
-    branch.negs.zipWithIndex.map { case (s, k) => s.elem.typeId -> k }.toMap
-
-  /** An instance: bound values per element (only positions under the node's mask
-    * are set). `bound(e)` is an Event or Array[Event] (Kleene).
-    */
-  private final class Inst(
-      val node: Int,
-      val bound: Array[AnyRef],
-      val minTs: Double,
-      val maxTs: Double,
-  ) { var dead: Boolean = false }
-
-  // --- run state ----------------------------------------------------------
-  private val instances = Array.fill(nodes.length)(mutable.ArrayBuffer.empty[Inst])
-  private val kleeneBuffers = Array.fill(n)(mutable.ArrayDeque.empty[Event])
-  private val negBuffers = Array.fill(branch.negs.size)(mutable.ArrayDeque.empty[Event])
-  private val consumed = mutable.HashSet.empty[Long]
-  private var now = Double.NegativeInfinity
-  private var liveCount = 0L
-  private var nEvents = 0L
-  private var nMatches = 0L
-  private var pmCreated = 0L
-  private var peakLive = 0L
-  private var peakBuffered = 0L
-  private var bufferedCount = 0L
-  private var latSum = 0L
-  private var tEventStart = 0L
-  private var out: mutable.ArrayBuffer[CepMatch] = _
-  private var wasCapped = false
-
-  private object Abort extends ControlThrowable
-
-  override def run(events: IndexedSeq[Event]): RunResult = {
-    out = mutable.ArrayBuffer.empty[CepMatch]
-    val t0 = System.nanoTime()
-    try {
+  override protected def onEvent(elem: Int, e: Event): Unit =
+    if (positive.elems(elem).kleene) {
+      // Subset semantics at the leaf: every subset of recent same-type events
+      // containing `e` forms a leaf instance (§5.2). `e` is the buffer's last.
+      val buf = buffers(elem)
+      val recent = mutable.ArrayBuffer.empty[Event]
       var i = 0
-      while (i < events.length) { process(events(i)); i += 1 }
-    } catch { case Abort => wasCapped = true }
-    val wall = System.nanoTime() - t0
-    RunResult(
-      RunStats(nEvents, nMatches, pmCreated, peakLive, peakBuffered, wall, latSum),
-      out.toVector,
-      wasCapped,
-    )
-  }
-
-  private def process(e: Event): Unit = {
-    nEvents += 1
-    now = e.ts
-    evict()
-    if ((nEvents & 1023) == 0) sweep()
-    negTypeToSpec.get(e.typeId) match {
-      case Some(k) =>
-        negBuffers(k).append(e); bufferedCount += 1
-        if (bufferedCount > peakBuffered) peakBuffered = bufferedCount
-      case None =>
-        typeToElem.get(e.typeId).foreach { elem =>
-          tEventStart = System.nanoTime()
-          if (positive.elems(elem).kleene) {
-            // Subset semantics at the leaf: every subset of recent same-type
-            // events containing `e` forms a leaf instance (§5.2).
-            val buf = kleeneBuffers(elem)
-            var base = buf.iterator.filter(b => !(consuming && consumed.contains(b.serial))).toArray
-            if (base.length > config.maxKleeneBuffer) base = base.takeRight(config.maxKleeneBuffer)
-            buf.append(e); bufferedCount += 1
-            if (bufferedCount > peakBuffered) peakBuffered = bufferedCount
-            val k = base.length
-            var m = 0
-            while (m < (1 << k)) {
-              val members = mutable.ArrayBuffer.empty[Event]
-              var i = 0
-              while (i < k) { if ((m & (1 << i)) != 0) members += base(i); i += 1 }
-              members += e
-              makeLeafInst(elem, members.toArray)
-              m += 1
-            }
-          } else makeLeafInst(elem, e)
-        }
-    }
-  }
+      while (i < buf.length - 1) {
+        val b = buf(i)
+        if (!(consuming && consumed.contains(b.serial))) recent += b
+        i += 1
+      }
+      val base = recent.takeRight(config.maxKleeneBuffer).toArray
+      var m = 0
+      while (m < (1 << base.length)) { makeLeafInst(elem, kleeneSubset(base, m, e)); m += 1 }
+    } else makeLeafInst(elem, e)
 
   private def makeLeafInst(elem: Int, value: AnyRef): Unit = {
     val (vMin, vMax) = value match {
@@ -182,30 +114,38 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   }
 
   /** Store the instance (emitting at root) and combine it with its sibling's
-    * buffered instances, recursively.
+    * buffered instances, recursively, dropping expired and dead siblings from
+    * their list as the scan passes them.
     */
   private def record(inst: Inst): Unit = {
-    pmCreated += 1
-    if (pmCreated > config.pmCap) throw Abort
+    countCreated()
     val info = nodes(inst.node)
-    if (!negOk(inst, info)) return
+    if (!negOk(info, inst)) return
     if (inst.node == rootId) { emit(inst); return }
-    instances(inst.node) += inst
-    liveCount += 1
-    if (liveCount > peakLive) peakLive = liveCount
-    val sibBuf = instances(info.sibling)
-    val sz = sibBuf.size // snapshot: children of this combine land at the parent
+    hold(inst.node, inst)
+    val sibBuf = lists(info.sibling)
+    val sz = sibBuf.size // children of this combine land at the parent
+    var gone = 0 // released entries before the first kept one
+    var kept = 0 // kept entries, moved up to follow the `gone` prefix
     var i = 0
     while (i < sz) {
       val s = sibBuf(i)
-      if (!s.dead && s.minTs + W >= now) combine(inst, s, info.parent)
+      if (!s.dead && s.minTs + W >= now) {
+        if (gone + kept != i) sibBuf(gone + kept) = s
+        kept += 1
+        combine(inst, s, info.parent)
+      } else {
+        if (!s.dead) expire(s)
+        if (kept == 0) gone += 1
+      }
       i += 1
     }
+    sibBuf.keep(gone, kept, sz)
   }
 
   private def combine(a: Inst, b: Inst, parent: Int): Unit = {
     if (math.max(a.maxTs, b.maxTs) - math.min(a.minTs, b.minTs) > W) return
-    if (consuming && (containsConsumed(a) || containsConsumed(b))) return
+    if (consuming && (holdsConsumed(a.bound) || holdsConsumed(b.bound))) return
     val info = nodes(parent)
     val preds = info.crossPreds
     var i = 0
@@ -233,121 +173,22 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     case (l: Array[Event], r: Array[Event]) => l.forall(x => r.forall(y => PredEval.eval(op, x, y)))
   }
 
-  private def containsConsumed(inst: Inst): Boolean = {
-    var e = 0
-    while (e < n) {
-      inst.bound(e) match {
-        case null                => ()
-        case ev: Event           => if (consumed.contains(ev.serial)) return true
-        case a: Array[Event]     => if (a.exists(x => consumed.contains(x.serial))) return true
-      }
-      e += 1
-    }
-    false
-  }
-
-  private def negOk(inst: Inst, info: NodeInfo): Boolean = {
+  private def negOk(info: NodeInfo, inst: Inst): Boolean = {
     var s = 0
     while (s < info.negSpecs.length) {
-      val k = info.negSpecs(s)
-      val spec = branch.negs(k)
-      val it = negBuffers(k).iterator
-      while (it.hasNext) {
-        val b = it.next()
-        if (!(consuming && consumed.contains(b.serial)) && negMatches(spec, inst, b)) return false
-      }
+      if (negBlocked(info.negSpecs(s), inst.bound)) return false
       s += 1
     }
     true
   }
+}
 
-  private def negMatches(spec: NegSpec, inst: Inst, b: Event): Boolean = {
-    val depOk = spec.dependsOn.forall { d =>
-      inst.bound(d) match {
-        case null            => false
-        case e: Event        => math.abs(e.ts - b.ts) <= W
-        case a: Array[Event] => a.forall(e => math.abs(e.ts - b.ts) <= W)
-      }
-    }
-    if (!depOk) return false
-    spec.preds.forall { case NegPred(posIdx, op, negOnLeft) =>
-      inst.bound(posIdx) match {
-        case null => false
-        case v =>
-          v match {
-            case e: Event =>
-              if (negOnLeft) PredEval.eval(op, b, e) else PredEval.eval(op, e, b)
-            case a: Array[Event] =>
-              if (negOnLeft) a.forall(e => PredEval.eval(op, b, e))
-              else a.forall(e => PredEval.eval(op, e, b))
-          }
-      }
-    }
-  }
+object TreeEngine {
 
-  private def emit(inst: Inst): Unit = {
-    if (consuming && containsConsumed(inst)) return
-    nMatches += 1
-    latSum += System.nanoTime() - tEventStart
-    if (config.collectMatches) {
-      val byElem = Vector.tabulate(n) { e =>
-        inst.bound(e) match {
-          case ev: Event       => Vector(ev.serial)
-          case a: Array[Event] => a.map(_.serial).sorted.toVector
-        }
-      }
-      out += CepMatch(byElem, inst.minTs)
-    }
-    if (consuming) {
-      var e = 0
-      while (e < n) {
-        inst.bound(e) match {
-          case ev: Event       => consumed += ev.serial
-          case a: Array[Event] => a.foreach(x => consumed += x.serial)
-          case null            => ()
-        }
-        e += 1
-      }
-      // kill live instances holding consumed events
-      var id = 0
-      while (id < instances.length) {
-        val buf = instances(id)
-        var i = 0
-        while (i < buf.size) {
-          val x = buf(i)
-          if (!x.dead && containsConsumed(x)) { x.dead = true; liveCount -= 1 }
-          i += 1
-        }
-        id += 1
-      }
-    }
-  }
-
-  private def evict(): Unit = {
-    val cutoff = now - W
-    var e = 0
-    while (e < n) {
-      val buf = kleeneBuffers(e)
-      while (buf.nonEmpty && buf.head.ts < cutoff) { buf.removeHead(); bufferedCount -= 1 }
-      e += 1
-    }
-    var k = 0
-    while (k < negBuffers.length) {
-      val buf = negBuffers(k)
-      while (buf.nonEmpty && buf.head.ts < cutoff) { buf.removeHead(); bufferedCount -= 1 }
-      k += 1
-    }
-  }
-
-  private def sweep(): Unit = {
-    val cutoff = now - W
-    var id = 0
-    while (id < instances.length) {
-      val buf = instances(id)
-      val before = buf.size
-      buf.filterInPlace(x => !x.dead && x.minTs >= cutoff)
-      liveCount -= before - buf.size
-      id += 1
-    }
-  }
+  /** An instance of tree node `node`: bound values per element (only positions
+    * under the node's mask are set). `bound(e)` is an Event or Array[Event]
+    * (Kleene).
+    */
+  private[cep] final class Inst(val node: Int, bound: Array[AnyRef], minTs: Double, maxTs: Double)
+      extends PartialMatch(bound, minTs, maxTs)
 }

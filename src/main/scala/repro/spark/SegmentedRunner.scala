@@ -2,8 +2,8 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.cep.{CepMatch, Event, EngineConfig, NfaEngine, TreeEngine}
-import repro.core.PlannedBranch
+import repro.cep.{CepEngine, CepMatch, Event, EngineConfig}
+import repro.core.{NextMatch, PlannedBranch}
 
 /** One stream event as a Dataset row. */
 final case class EventRow(typeId: Int, ts: Double, serial: Long, diff: Double, price: Double)
@@ -53,6 +53,9 @@ object SegmentedRunner {
     val w = branch.positive.window
     val L = if (segLen > 0) segLen else 2.0 * w
     require(L >= w, s"segment length $L must be at least the window $w")
+    require(branch.strategy != NextMatch,
+      "SegmentedRunner does not support skip-till-next-match: each segment would keep its own " +
+        "consumed events, so an event could serve a match in two segments")
     val segmented = withSegments(events, L, w)
     segmented
       .select(col("seg"), col("typeId"), col("ts"), col("serial"), col("diff"), col("price"))
@@ -63,9 +66,8 @@ object SegmentedRunner {
           .map { case (_, t, ts, serial, diff, price) => Event(t, ts, serial, Array(diff, price)) }
           .toArray
           .sortBy(e => (e.ts, e.serial))
-        val engine =
-          if (branch.plan.isLeft) new NfaEngine(branch, config) else new TreeEngine(branch, config)
-        engine
+        CepEngine
+          .forBranch(branch, config)
           .run(scala.collection.immutable.ArraySeq.unsafeWrapArray(evs))
           .matches
           .iterator
@@ -77,8 +79,6 @@ object SegmentedRunner {
   /** Driver-side reference run over the full stream (for tests/benches). */
   def runLocal(events: Array[Event], branch: PlannedBranch, config: EngineConfig = EngineConfig())
       : Vector[CepMatch] = {
-    val engine =
-      if (branch.plan.isLeft) new NfaEngine(branch, config) else new TreeEngine(branch, config)
-    engine.run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events)).matches
+    CepEngine.forBranch(branch, config).run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events)).matches
   }
 }

@@ -34,9 +34,10 @@ class EngineEdgeCaseSpec extends AnyFunSuite {
   }
 
   test("live partial matches are bounded by eviction, independent of stream length") {
-    // Storage is reclaimed lazily (sweep every 1024 events), so the bound is
-    // window content + one sweep interval of stale entries — crucially it must
-    // NOT grow with the stream length.
+    // An expired partial match is released when a scan of its list passes it,
+    // or by the sweep every 1024 events for lists no scan reaches, so the
+    // bound is window content + at most one sweep interval of stale entries —
+    // crucially it must NOT grow with the stream length.
     def peak(len: Int): Long = {
       val s = (0 until len).map(i => ev(i % 2, i * 0.05, i.toLong))
       runNfa(seq2, Vector(1, 0), s, config = EngineConfig(collectMatches = false)).stats.peakLivePm

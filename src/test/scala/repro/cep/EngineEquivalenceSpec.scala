@@ -12,25 +12,6 @@ import scala.util.Random
   */
 class EngineEquivalenceSpec extends AnyFunSuite {
 
-  private def randomPattern(rnd: Random, n: Int, withNeg: Boolean, withKl: Boolean): SimplePattern = {
-    val negAt = if (withNeg && n >= 3) Set(1 + rnd.nextInt(n - 2)) else Set.empty[Int]
-    val free = (0 until n).filterNot(negAt)
-    val klAt: Set[Int] =
-      if (withKl) Set(free(rnd.nextInt(free.size))) else Set.empty[Int]
-    val es = elems(n, negAt = negAt, klAt = klAt)
-    val nPreds = rnd.nextInt(n)
-    val pairs = rnd.shuffle((for (i <- 0 until n; j <- i + 1 until n) yield (i, j)).toVector).take(nPreds)
-    val preds = pairs.map { case (i, j) =>
-      Pred(i, j, AttrCmp(0, (rnd.nextDouble() - 0.5) * 2, less = rnd.nextBoolean()))
-    }
-    // Negation is defined for sequence patterns (§5.3: the negated event is
-    // bounded by its SEQ neighbours); in a pure AND there is no temporal bound
-    // on the negated event and "check at the earliest point" would depend on
-    // the plan. The workload generator follows the same rule.
-    val op = if (withNeg || rnd.nextBoolean()) SEQ else AND
-    SimplePattern(op, es, preds, window = 1.5)
-  }
-
   test("random patterns: all NFA orders and all trees agree on the match set") {
     val rnd = new Random(41)
     for (iter <- 1 to 25) {

@@ -1,0 +1,132 @@
+package repro.cep
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core._
+import EngineTestKit._
+import scala.util.Random
+
+/** The shared per-event path: type dispatch, deferred eviction, release of
+  * expired partial matches during scans, consumed-set pruning and the
+  * input-order guard.
+  */
+class EngineFastPathSpec extends AnyFunSuite {
+
+  /** About 90 % of the events have a type the pattern does not use, some of
+    * them with a type id above every pattern type.
+    */
+  private def mostlyForeign(nPattern: Int, count: Int, horizon: Double, rnd: Random): Vector[Event] = {
+    val foreign = Vector(nPattern, nPattern + 1, nPattern + 5, 64, 1000)
+    Vector.tabulate(count) { _ =>
+      val t = if (rnd.nextDouble() < 0.1) rnd.nextInt(nPattern) else foreign(rnd.nextInt(foreign.size))
+      (t, rnd.nextDouble() * horizon, rnd.nextGaussian())
+    }.sortBy(_._2).zipWithIndex.map { case ((t, ts, d), serial) => ev(t, ts, serial.toLong, d) }
+  }
+
+  private def agreeOnMostlyForeign(seed: Int, withNeg: Boolean, withKl: Boolean): Unit = {
+    val rnd = new Random(seed)
+    for (iter <- 1 to 6) {
+      val n = 3 + rnd.nextInt(2)
+      val sp = randomPattern(rnd, n, withNeg, withKl)
+      // ~3 pattern events of each type per window; over 2048 events, so the
+      // 1024-event sweep runs too.
+      val s = mostlyForeign(n, 2500, 2500 * 0.1 * 1.5 / (3.0 * n), rnd)
+      val posN = sp.positives.size
+      val oracle = bruteForce(orderBranch(sp, (0 until posN).toVector), s)
+      assert(oracle.nonEmpty, s"iter=$iter sp=$sp: the stream should hold matches")
+      for (order <- (0 until posN).toVector.permutations)
+        assert(matchSet(runNfa(sp, order, s)) == oracle, s"iter=$iter order=$order sp=$sp")
+      for (t <- TreePlan.enumerate((0 until posN).toVector))
+        assert(matchSet(runTree(sp, t, s)) == oracle, s"iter=$iter tree=$t sp=$sp")
+    }
+  }
+
+  test("mostly foreign types: sequences match the brute-force oracle on both engines") {
+    agreeOnMostlyForeign(51, withNeg = false, withKl = false)
+  }
+
+  test("mostly foreign types: negation matches the brute-force oracle on both engines") {
+    agreeOnMostlyForeign(52, withNeg = true, withKl = false)
+  }
+
+  test("mostly foreign types: Kleene matches the brute-force oracle on both engines") {
+    agreeOnMostlyForeign(53, withNeg = false, withKl = true)
+  }
+
+  test("the live counter equals a recount of held partial matches, every strategy") {
+    val rnd = new Random(54)
+    for (strategy <- Seq[Strategy](AnyMatch, NextMatch, Contiguity); iter <- 1 to 8) {
+      val n = 2 + rnd.nextInt(3)
+      val sp = randomPattern(rnd, n, withNeg = iter % 3 == 0, withKl = iter % 4 == 0)
+      val s = randomStream(n + 1, 3000, 300.0, rnd)
+      val posN = sp.positives.size
+      val order = rnd.shuffle((0 until posN).toVector)
+      val engines = Seq(
+        new NfaEngine(orderBranch(sp, order, strategy)),
+        new TreeEngine(treeBranch(sp, TreePlan.leftDeep(OrderPlan(order)), strategy)),
+        new TreeEngine(treeBranch(sp, TreePlan.enumerate((0 until posN).toVector).last, strategy)),
+      )
+      engines.foreach { e =>
+        e.run(s)
+        assert(e.liveNow == e.heldLive, s"$strategy iter=$iter ${e.getClass.getSimpleName} sp=$sp")
+      }
+    }
+  }
+
+  test("skip-till-next: the consumed set stays flat on a long stream") {
+    val seq2 = SimplePattern(SEQ, elems(2), Vector.empty, 1.0)
+    def consumedAfter(len: Int): Seq[(Int, Long)] = {
+      val s = (0 until len).map(i => ev(i % 3 % 2, i * 0.05, i.toLong))
+      val engines = Seq(
+        new NfaEngine(orderBranch(seq2, Vector(1, 0), NextMatch), EngineConfig(collectMatches = false)),
+        new TreeEngine(treeBranch(seq2, NodePlan(LeafPlan(0), LeafPlan(1)), NextMatch),
+          EngineConfig(collectMatches = false)),
+      )
+      engines.map { e =>
+        val r = e.run(s)
+        assert(r.stats.matches > len / 4)
+        (e.consumedSize, r.stats.matches)
+      }
+    }
+    // Within W = 1.0 there are about 20 events; unpruned, the set would hold
+    // every matched event (two thirds of the stream).
+    for ((size, matches) <- consumedAfter(2000) ++ consumedAfter(20000))
+      assert(size <= 25, s"consumed set holds $size serials after $matches matches")
+  }
+
+  /** Streams that break the (ts, serial) order at their last event. */
+  private val unsorted = Seq(
+    Seq(ev(0, 1.0, 0), ev(7, 2.0, 1), ev(1, 1.5, 2)), // earlier ts, after a foreign event
+    Seq(ev(0, 1.0, 5), ev(1, 1.0, 4)),                // same ts, lower serial
+  )
+
+  private def assertRejected(run: Seq[Event] => RunResult): Unit =
+    for (s <- unsorted) {
+      val msg = intercept[IllegalArgumentException](run(s)).getMessage
+      assert(msg.contains(s"serial ${s.last.serial})") && msg.contains(s"serial ${s(s.size - 2).serial})"), msg)
+    }
+
+  test("NFA engine rejects events out of (ts, serial) order, naming both events") {
+    assertRejected(runNfa(SimplePattern(SEQ, elems(2), Vector.empty, 1.0), Vector(0, 1), _))
+  }
+
+  test("tree engine rejects events out of (ts, serial) order, naming both events") {
+    assertRejected(runTree(SimplePattern(SEQ, elems(2), Vector.empty, 1.0), NodePlan(LeafPlan(0), LeafPlan(1)), _))
+  }
+
+  test("the consumed-serial set agrees with a reference set under random operations") {
+    val rnd = new Random(55)
+    val set = new SerialSet
+    val ref = scala.collection.mutable.HashSet.empty[Long]
+    for (_ <- 1 to 20000) {
+      // Keys cluster like in-window serials, so probe runs collide and wrap.
+      val k = rnd.nextInt(300).toLong - 20
+      rnd.nextInt(3) match {
+        case 0 => set += k; ref += k
+        case 1 => set -= k; ref -= k
+        case _ => assert(set.contains(k) == ref.contains(k), s"key $k")
+      }
+      assert(set.size == ref.size)
+    }
+    assert((-20L until 280L).forall(k => set.contains(k) == ref.contains(k)))
+  }
+}

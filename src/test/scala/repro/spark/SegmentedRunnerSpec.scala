@@ -58,4 +58,14 @@ class SegmentedRunnerSpec extends SparkSpec {
       .map(m => m.serials.map(_.toVector).toVector).toSet
     assert(base == longer)
   }
+
+  test("skip-till-next-match is rejected: segments cannot share consumed events") {
+    val sp = SimplePattern(SEQ,
+      Vector(Elem(0, "T0"), Elem(1, "T1"), Elem(2, "T2")), Vector.empty, 1.0)
+    for (algo <- Seq(DP_LD, DP_B)) {
+      val branch = Planner.planSimple(sp, provider, algo, NextMatch)
+      val err = intercept[IllegalArgumentException](SegmentedRunner.run(spark, df, branch))
+      assert(err.getMessage.contains("skip-till-next-match"))
+    }
+  }
 }
