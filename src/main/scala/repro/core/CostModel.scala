@@ -220,20 +220,6 @@ final class CostModel(
       }
       walk(t).getOrElse(0.0)
   }
-
-  /** Pure-throughput cost of an order plan (α ignored) — used for reporting. */
-  def orderThroughputCost(o: OrderPlan): Double = {
-    var mask = 0
-    var c = 0.0
-    o.order.foreach { e => mask |= 1 << e; c += stepScale * pm(mask) }
-    c
-  }
-
-  /** Pure-throughput cost of a tree plan (α ignored) — used for reporting. */
-  def treeThroughputCost(t: TreePlan): Double = t match {
-    case LeafPlan(e)    => pm(1 << e)
-    case NodePlan(l, r) => treeThroughputCost(l) + treeThroughputCost(r) + pm(l.mask | r.mask)
-  }
 }
 
 /** Join-side cost functions of §3.2/§4 — `Cost_LDJ` and `Cost_BJ` — used to test

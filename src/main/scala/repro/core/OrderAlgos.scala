@@ -123,8 +123,4 @@ object OrderAlgos {
     while (m != 0) { val e = choice(m); rev += e; m ^= 1 << e }
     OrderPlan(rev.result().reverse)
   }
-
-  /** Exhaustive search over all n! orders — test oracle only. */
-  def bruteForce(cm: CostModel): OrderPlan =
-    OrderPlan((0 until cm.n).toVector.permutations.minBy(p => cm.orderCost(OrderPlan(p))))
 }

@@ -43,33 +43,4 @@ object TreePlan {
   /** The left-deep tree equivalent of an order plan (§3.2: one left-deep tree per order). */
   def leftDeep(o: OrderPlan): TreePlan =
     o.order.tail.foldLeft(LeafPlan(o.order.head): TreePlan)((acc, e) => NodePlan(acc, LeafPlan(e)))
-
-  /** All bushy trees over the given leaf set (tests / tiny n only). */
-  def enumerate(elems: Vector[Int]): Vector[TreePlan] =
-    if (elems.size == 1) Vector(LeafPlan(elems.head))
-    else {
-      // Split into every (non-empty, non-full) subset containing elems.head to
-      // avoid generating each unordered {L,R} split twice with mirrored children;
-      // both child orders are still produced for the *other* levels via recursion,
-      // but cost models are symmetric in (l, r) so this is exhaustive for costs.
-      val head = elems.head
-      val rest = elems.tail
-      (0 until (1 << rest.size)).toVector.flatMap { m =>
-        val left  = head +: rest.zipWithIndex.collect { case (e, i) if (m & (1 << i)) != 0 => e }
-        val right = rest.zipWithIndex.collect { case (e, i) if (m & (1 << i)) == 0 => e }
-        if (right.isEmpty) Vector.empty
-        else for (l <- enumerate(left); r <- enumerate(right)) yield NodePlan(l, r): TreePlan
-      }
-    }
-
-  /** All trees with a fixed left-to-right leaf order (the ZStream search space, §2.3). */
-  def enumerateFixedOrder(leaves: Vector[Int]): Vector[TreePlan] =
-    if (leaves.size == 1) Vector(LeafPlan(leaves.head))
-    else
-      (1 until leaves.size).toVector.flatMap { cut =>
-        for {
-          l <- enumerateFixedOrder(leaves.take(cut))
-          r <- enumerateFixedOrder(leaves.drop(cut))
-        } yield NodePlan(l, r): TreePlan
-      }
 }

@@ -33,13 +33,6 @@ final case class Stats(rates: Vector[Double], sel: Vector[Vector[Double]], windo
     if (i != j) m(j)(i) *= s
     copy(sel = m.map(_.toVector).toVector)
   }
-
-  /** Returns a copy with `rates(i)` replaced. */
-  def withRate(i: Int, r: Double): Stats = copy(rates = rates.updated(i, r))
-
-  /** Restriction to a subset of element positions (order-preserving). */
-  def restrict(keep: Vector[Int]): Stats =
-    Stats(keep.map(rates), keep.map(i => keep.map(j => sel(i)(j))), window)
 }
 
 object Stats {

@@ -72,12 +72,4 @@ object TreeAlgos {
       else NodePlan(build(split(m)), build(m ^ split(m)))
     build(full)
   }
-
-  /** Exhaustive search over all bushy trees — test oracle only. */
-  def bruteForce(cm: CostModel): TreePlan =
-    TreePlan.enumerate((0 until cm.n).toVector).minBy(cm.treeCost)
-
-  /** Exhaustive search over all trees with a fixed leaf order — test oracle for zstream. */
-  def bruteForceFixedOrder(cm: CostModel, leafOrder: Vector[Int]): TreePlan =
-    TreePlan.enumerateFixedOrder(leafOrder).minBy(cm.treeCost)
 }

@@ -150,7 +150,8 @@ final class MeasuredStatsProvider(
     val xs = diffs(aType)
     val ys = diffs(bType)
     val m = 4000
-    val ds = Array.fill(m)(ys(rnd.nextInt(ys.length)) - xs(rnd.nextInt(xs.length))).sorted
+    val ds = Array.fill(m)(ys(rnd.nextInt(ys.length)) - xs(rnd.nextInt(xs.length)))
+    java.util.Arrays.sort(ds)
     val q = math.max(0, math.min(m - 1, math.round((1.0 - target) * (m - 1)).toInt))
     ds(q)
   }

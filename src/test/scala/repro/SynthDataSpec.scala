@@ -44,16 +44,4 @@ class SynthDataSpec extends SparkSpec {
         |GROUP BY o_orderstatus""".stripMargin,
       "lineitem" -> li, "orders" -> ord)
   }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000, seed = 5)
-    val u = SynthData.uniformKeys(spark, rows = 20000, nKeys = 1000, seed = 5)
-    def topShare(df: org.apache.spark.sql.DataFrame): Double = {
-      val top = df.groupBy("k").count().orderBy(desc("count")).limit(10)
-        .agg(sum("count")).head.getLong(0)
-      top.toDouble / 20000
-    }
-    assert(topShare(z) > 0.3, "zipf head should dominate")
-    assert(topShare(u) < 0.05, "uniform head should not dominate")
-  }
 }

@@ -72,7 +72,7 @@ class CostValidationSpec extends AnyFunSuite {
     val s = ratedStream(rates, horizon, rnd)
     val (sp, stats) = patternAndStats(rnd)
     val cm = new CostModel(stats)
-    val trees = TreePlan.enumerate((0 until 4).toVector)
+    val trees = PlanOracles.enumerate((0 until 4).toVector)
     val costed = trees.map(t => (t, cm.treeCost(t)))
     val cheap = costed.minBy(_._2)
     val costly = costed.maxBy(_._2)

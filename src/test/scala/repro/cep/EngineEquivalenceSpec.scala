@@ -21,7 +21,7 @@ class EngineEquivalenceSpec extends AnyFunSuite {
       val ref = matchSet(runNfa(sp, (0 until n).toVector, s))
       for (order <- (0 until n).toVector.permutations)
         assert(matchSet(runNfa(sp, order, s)) == ref, s"iter=$iter order=$order sp=$sp")
-      for (t <- TreePlan.enumerate((0 until n).toVector))
+      for (t <- PlanOracles.enumerate((0 until n).toVector))
         assert(matchSet(runTree(sp, t, s)) == ref, s"iter=$iter tree=$t sp=$sp")
     }
   }
@@ -36,7 +36,7 @@ class EngineEquivalenceSpec extends AnyFunSuite {
       val ref = matchSet(runNfa(sp, (0 until posN).toVector, s))
       for (order <- (0 until posN).toVector.permutations)
         assert(matchSet(runNfa(sp, order, s)) == ref, s"iter=$iter order=$order")
-      for (t <- TreePlan.enumerate((0 until posN).toVector))
+      for (t <- PlanOracles.enumerate((0 until posN).toVector))
         assert(matchSet(runTree(sp, t, s)) == ref, s"iter=$iter tree=$t")
     }
   }
@@ -49,7 +49,7 @@ class EngineEquivalenceSpec extends AnyFunSuite {
       val s = randomStream(n + 1, 40, 8.0, rnd) // sparse: KL buffers stay small
       val ref = matchSet(runNfa(sp, (0 until n).toVector, s))
       assert(ref == matchSet(runNfa(sp, (0 until n).reverse.toVector, s)), s"iter=$iter")
-      for (t <- TreePlan.enumerate((0 until n).toVector))
+      for (t <- PlanOracles.enumerate((0 until n).toVector))
         assert(matchSet(runTree(sp, t, s)) == ref, s"iter=$iter tree=$t")
     }
   }
@@ -76,7 +76,7 @@ class EngineEquivalenceSpec extends AnyFunSuite {
     val s = randomStream(5, 400, 20.0, rnd)
     val counts = (
       (0 until 4).toVector.permutations.take(6).map(o => runNfa(sp, o, s).stats.matches) ++
-        TreePlan.enumerate((0 until 4).toVector).take(6).map(t => runTree(sp, t, s).stats.matches)
+        PlanOracles.enumerate((0 until 4).toVector).take(6).map(t => runTree(sp, t, s).stats.matches)
     ).toSet
     assert(counts.size == 1)
   }

@@ -35,7 +35,7 @@ class EngineFastPathSpec extends AnyFunSuite {
       assert(oracle.nonEmpty, s"iter=$iter sp=$sp: the stream should hold matches")
       for (order <- (0 until posN).toVector.permutations)
         assert(matchSet(runNfa(sp, order, s)) == oracle, s"iter=$iter order=$order sp=$sp")
-      for (t <- TreePlan.enumerate((0 until posN).toVector))
+      for (t <- PlanOracles.enumerate((0 until posN).toVector))
         assert(matchSet(runTree(sp, t, s)) == oracle, s"iter=$iter tree=$t sp=$sp")
     }
   }
@@ -63,7 +63,7 @@ class EngineFastPathSpec extends AnyFunSuite {
       val engines = Seq(
         new NfaEngine(orderBranch(sp, order, strategy)),
         new TreeEngine(treeBranch(sp, TreePlan.leftDeep(OrderPlan(order)), strategy)),
-        new TreeEngine(treeBranch(sp, TreePlan.enumerate((0 until posN).toVector).last, strategy)),
+        new TreeEngine(treeBranch(sp, PlanOracles.enumerate((0 until posN).toVector).last, strategy)),
       )
       engines.foreach { e =>
         e.run(s)

@@ -44,7 +44,7 @@ class GoldenCounterSpec extends AnyFunSuite {
       (r.stats.matches, r.stats.pmCreated, r.stats.peakLivePm, r.stats.peakBuffered)
     }
     (elems.permutations.map(o => of(runNfa(sp, o, s, strategy, config))).toVector,
-      TreePlan.enumerate(elems).map(t => of(runTree(sp, t, s, strategy, config))))
+      PlanOracles.enumerate(elems).map(t => of(runTree(sp, t, s, strategy, config))))
   }
 
   /** Sums of the four counters over the plans, and a hash of the per-plan tuples. */

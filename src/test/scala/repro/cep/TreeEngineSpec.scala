@@ -30,7 +30,7 @@ class TreeEngineSpec extends AnyFunSuite {
     val s = randomStream(3, 40, 8.0, rnd)
     val sp = seq3.copy(window = 2.0)
     val exp = matchSet(runTree(sp, ld3, s))
-    for (t <- TreePlan.enumerate(Vector(0, 1, 2)))
+    for (t <- PlanOracles.enumerate(Vector(0, 1, 2)))
       assert(matchSet(runTree(sp, t, s)) == exp, s"tree $t differs")
   }
 

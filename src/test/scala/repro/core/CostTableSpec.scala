@@ -49,7 +49,7 @@ class CostTableSpec extends AnyFunSuite {
       val tabled = new CostModel(s, alpha = alpha, lastElem = last)
       tabled.ensureTable()
       val o = OrderPlan(rnd.shuffle((0 until n).toVector))
-      val trees = TreePlan.enumerate((0 until n).toVector)
+      val trees = PlanOracles.enumerate((0 until n).toVector)
       val t = trees(rnd.nextInt(trees.size))
       assert(approx(direct.orderCost(o), tabled.orderCost(o)))
       assert(approx(direct.treeCost(t), tabled.treeCost(t)))

@@ -39,7 +39,7 @@ class OrderAlgosSpec extends AnyFunSuite {
       val n = 3 + rnd.nextInt(4)
       val cm = new CostModel(TestData.randomStats(n, rnd))
       val dp = cm.orderCost(OrderAlgos.dpLeftDeep(cm))
-      val bf = cm.orderCost(OrderAlgos.bruteForce(cm))
+      val bf = cm.orderCost(PlanOracles.bruteForceOrder(cm))
       assert(approx(dp, bf), s"dp=$dp bf=$bf n=$n")
     }
   }
@@ -50,7 +50,7 @@ class OrderAlgosSpec extends AnyFunSuite {
       val n = 3 + rnd.nextInt(3)
       val s = TestData.randomStats(n, rnd)
       val cm = new CostModel(s, alpha = rnd.nextDouble() * 2, lastElem = Some(rnd.nextInt(n)))
-      assert(approx(cm.orderCost(OrderAlgos.dpLeftDeep(cm)), cm.orderCost(OrderAlgos.bruteForce(cm))))
+      assert(approx(cm.orderCost(OrderAlgos.dpLeftDeep(cm)), cm.orderCost(PlanOracles.bruteForceOrder(cm))))
     }
   }
 
@@ -59,7 +59,7 @@ class OrderAlgosSpec extends AnyFunSuite {
     for (_ <- 1 to 25) {
       val n = 3 + rnd.nextInt(3)
       val cm = new CostModel(TestData.randomStats(n, rnd), strategy = NextMatch)
-      assert(approx(cm.orderCost(OrderAlgos.dpLeftDeep(cm)), cm.orderCost(OrderAlgos.bruteForce(cm))))
+      assert(approx(cm.orderCost(OrderAlgos.dpLeftDeep(cm)), cm.orderCost(PlanOracles.bruteForceOrder(cm))))
     }
   }
 

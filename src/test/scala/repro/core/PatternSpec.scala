@@ -55,12 +55,8 @@ class PatternSpec extends AnyFunSuite {
     assert(p.window == 2.0)
   }
 
-  test("Stats validation and restriction") {
+  test("Stats validation") {
     assertThrows[IllegalArgumentException](
       Stats(Vector(1.0, 1.0), Vector(Vector(1.0, 0.5), Vector(0.4, 1.0)), 1.0))
-    val s = Stats.fromPreds(Vector(1.0, 2.0, 3.0), 1.0, Seq((0, 2, 0.5)))
-    val r = s.restrict(Vector(0, 2))
-    assert(r.rates == Vector(1.0, 3.0))
-    assert(r.sel(0)(1) == 0.5)
   }
 }

@@ -12,11 +12,11 @@ class TreeAlgosSpec extends AnyFunSuite {
     math.abs(a - b) <= 1e-9 * math.max(1.0, math.max(math.abs(a), math.abs(b)))
 
   test("tree enumeration counts: (2n-3)!! bushy trees, Catalan fixed-order trees") {
-    assert(TreePlan.enumerate(Vector(0, 1, 2)).size == 3)
-    assert(TreePlan.enumerate(Vector(0, 1, 2, 3)).size == 15)
-    assert(TreePlan.enumerateFixedOrder(Vector(0, 1, 2)).size == 2)
-    assert(TreePlan.enumerateFixedOrder(Vector(0, 1, 2, 3)).size == 5)
-    assert(TreePlan.enumerateFixedOrder(Vector(0, 1, 2, 3, 4)).size == 14)
+    assert(PlanOracles.enumerate(Vector(0, 1, 2)).size == 3)
+    assert(PlanOracles.enumerate(Vector(0, 1, 2, 3)).size == 15)
+    assert(PlanOracles.enumerateFixedOrder(Vector(0, 1, 2)).size == 2)
+    assert(PlanOracles.enumerateFixedOrder(Vector(0, 1, 2, 3)).size == 5)
+    assert(PlanOracles.enumerateFixedOrder(Vector(0, 1, 2, 3, 4)).size == 14)
   }
 
   test("ZStream interval DP equals brute force over fixed-order trees") {
@@ -26,7 +26,7 @@ class TreeAlgosSpec extends AnyFunSuite {
       val cm = new CostModel(TestData.randomStats(n, rnd))
       val leafOrder = rnd.shuffle((0 until n).toVector)
       val dp = cm.treeCost(TreeAlgos.zstream(cm, leafOrder))
-      val bf = cm.treeCost(TreeAlgos.bruteForceFixedOrder(cm, leafOrder))
+      val bf = cm.treeCost(PlanOracles.bruteForceFixedOrder(cm, leafOrder))
       assert(approx(dp, bf), s"zstream=$dp bf=$bf")
     }
   }
@@ -37,7 +37,7 @@ class TreeAlgosSpec extends AnyFunSuite {
       val n = 3 + rnd.nextInt(3)
       val cm = new CostModel(TestData.randomStats(n, rnd))
       val dp = cm.treeCost(TreeAlgos.dpBushy(cm))
-      val bf = cm.treeCost(TreeAlgos.bruteForce(cm))
+      val bf = cm.treeCost(PlanOracles.bruteForceTree(cm))
       assert(approx(dp, bf), s"dpb=$dp bf=$bf n=$n")
     }
   }
@@ -48,7 +48,7 @@ class TreeAlgosSpec extends AnyFunSuite {
       val n = 3 + rnd.nextInt(3)
       val s = TestData.randomStats(n, rnd)
       val cm = new CostModel(s, alpha = rnd.nextDouble() * 2, lastElem = Some(rnd.nextInt(n)))
-      assert(approx(cm.treeCost(TreeAlgos.dpBushy(cm)), cm.treeCost(TreeAlgos.bruteForce(cm))))
+      assert(approx(cm.treeCost(TreeAlgos.dpBushy(cm)), cm.treeCost(PlanOracles.bruteForceTree(cm))))
     }
   }
 
@@ -57,7 +57,7 @@ class TreeAlgosSpec extends AnyFunSuite {
     for (_ <- 1 to 20) {
       val n = 3 + rnd.nextInt(3)
       val cm = new CostModel(TestData.randomStats(n, rnd), strategy = NextMatch)
-      assert(approx(cm.treeCost(TreeAlgos.dpBushy(cm)), cm.treeCost(TreeAlgos.bruteForce(cm))))
+      assert(approx(cm.treeCost(TreeAlgos.dpBushy(cm)), cm.treeCost(PlanOracles.bruteForceTree(cm))))
     }
   }
 
