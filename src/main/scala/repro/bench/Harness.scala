@@ -87,7 +87,7 @@ object BenchWorld {
     var wall = 0L; var matches = 0L; var pm = 0L; var peak = 0L; var lat = 0L; var latN = 0L
     var capped = false
     branches.foreach { b =>
-      val r = CepEngine.forBranch(b, cfgEng).run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events))
+      val r = new TreeEngine(b, cfgEng).run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events))
       wall += r.stats.wallNanos
       matches += r.stats.matches
       pm += r.stats.pmCreated

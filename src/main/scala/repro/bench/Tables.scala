@@ -188,7 +188,7 @@ object Tables {
       val latScale = base.stats.rates.sum * base.stats.window
       val alphaEff = alpha * base.cost / math.max(latScale, 1e-9)
       val branch = Planner.planSimple(sp, provider, algo, AnyMatch, alphaEff)
-      val r = CepEngine.forBranch(branch, cfgEng).run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events))
+      val r = new TreeEngine(branch, cfgEng).run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events))
       val cm = branch.costModel
       LatPoint(algo, alpha,
         if (r.stats.wallNanos == 0) 0 else events.length * 1e9 / r.stats.wallNanos,

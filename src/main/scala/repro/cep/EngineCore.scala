@@ -4,30 +4,31 @@ import repro.core._
 import scala.collection.mutable
 import scala.util.control.ControlThrowable
 
-/** A partial match held by an engine: an NFA level entry or a tree-node
-  * instance. `bound(slot)` is an Event, an Array[Event] for a Kleene element,
-  * or null while unbound; the slot of an element is fixed per engine.
+/** A partial match: an instance of plan node `node`. `bound(elem)` is an
+  * Event, an Array[Event] for a Kleene element, or null for an element outside
+  * the node.
   */
-private[cep] abstract class PartialMatch(
+private[cep] final class PartialMatch(
+    val node: Int,
     val bound: Array[AnyRef],
     val minTs: Double,
     val maxTs: Double,
 ) { var dead: Boolean = false }
 
-/** The partial matches of one NFA level or tree node, in creation order. A
-  * scan that releases entries keeps a run of them and moves it to the front
-  * ([[keep]]); dropping a prefix costs O(1).
+/** The partial matches of one plan node, in creation order. A scan that
+  * releases entries keeps a run of them and moves it to the front ([[keep]]);
+  * dropping a prefix costs O(1).
   */
-private[cep] final class PmList[P <: PartialMatch] {
+private[cep] final class PmList {
   private var items = new Array[AnyRef](16)
   private var start = 0
   private var end = 0
 
   def size: Int = end - start
-  def apply(i: Int): P = items(start + i).asInstanceOf[P]
-  def update(i: Int, pm: P): Unit = items(start + i) = pm
+  def apply(i: Int): PartialMatch = items(start + i).asInstanceOf[PartialMatch]
+  def update(i: Int, pm: PartialMatch): Unit = items(start + i) = pm
 
-  def +=(pm: P): Unit = {
+  def +=(pm: PartialMatch): Unit = {
     if (end == items.length) {
       val n = end - start
       val dst = if (2 * n <= items.length) items else new Array[AnyRef](2 * items.length)
@@ -120,7 +121,7 @@ private[cep] final class SerialSet {
   }
 }
 
-/** The per-event path and the run state both evaluation engines share.
+/** The per-event path and the run state of the evaluation engine.
   *
   * Per event: the input-order guard, the event counter and clock, the
   * 1024-event sweep check and a type dispatch through an array indexed by
@@ -131,23 +132,21 @@ private[cep] final class SerialSet {
   * [[onEvent]]. Eviction may wait for a pattern event: the cutoff only grows,
   * and the buffers are read only after such an event.
   *
-  * Partial matches live in `lists` (NFA levels, tree-node instance lists).
-  * `liveCount` is the number of non-dead partial matches held there: an
-  * engine's scan drops expired and dead entries as it passes them
+  * Partial matches live in `lists`, one per plan node. `liveCount` is the
+  * number of non-dead partial matches held there: the engine's scan drops
+  * expired and dead entries as it passes them
   * ([[expire]], [[PmList.keep]]), and the sweep does so for lists no scan
   * reached. A match emitted in the middle of a scan runs [[killConsumed]]
   * over the list being compacted, so an entry dropped as expired is also
   * marked dead and never counted twice.
   *
   * @param bufferedElems which positive elements keep a buffer of their events
-  * @param elemSlot      slot in `PartialMatch.bound` of each positive element
   * @param nLists        number of partial-match lists
   */
-private[cep] abstract class EngineCore[P <: PartialMatch](
+private[cep] abstract class EngineCore(
     branch: PlannedBranch,
     config: EngineConfig,
     bufferedElems: Array[Boolean],
-    elemSlot: Array[Int],
     nLists: Int,
 ) extends CepEngine {
 
@@ -176,7 +175,7 @@ private[cep] abstract class EngineCore[P <: PartialMatch](
     Array.fill(n)(mutable.ArrayDeque.empty[Event])
   private val negBuffers = Array.fill(branch.negs.size)(mutable.ArrayDeque.empty[Event])
   private val fifo = mutable.ArrayDeque.empty[Event]
-  protected final val lists: Array[PmList[P]] = Array.fill(nLists)(new PmList[P])
+  protected final val lists: Array[PmList] = Array.fill(nLists)(new PmList)
   protected final val consumed = new SerialSet
   protected final var now: Double = Double.NegativeInfinity
   private var prev: Event = _
@@ -275,14 +274,14 @@ private[cep] abstract class EngineCore[P <: PartialMatch](
   }
 
   /** Store a live partial match in list `l`. */
-  protected final def hold(l: Int, pm: P): Unit = {
+  protected final def hold(l: Int, pm: PartialMatch): Unit = {
     lists(l) += pm
     liveCount += 1
     if (liveCount > peakLive) peakLive = liveCount
   }
 
   /** Release a non-dead partial match that a scan found expired. */
-  protected final def expire(pm: P): Unit = { pm.dead = true; liveCount -= 1 }
+  protected final def expire(pm: PartialMatch): Unit = { pm.dead = true; liveCount -= 1 }
 
   /** Every `1 << 10` events: release expired and dead entries of all lists. */
   private def sweep(): Unit = {
@@ -343,13 +342,13 @@ private[cep] abstract class EngineCore[P <: PartialMatch](
   /** Report a full match; under a consuming strategy, skip it when an earlier
     * emission of this arrival consumed one of its events, else consume them.
     */
-  protected final def emit(m: P): Unit = {
+  protected final def emit(m: PartialMatch): Unit = {
     if (consuming && holdsConsumed(m.bound)) return
     nMatches += 1
     latSum += System.nanoTime() - tEventStart
     if (config.collectMatches) {
       val byElem = Vector.tabulate(n) { elem =>
-        m.bound(elemSlot(elem)) match {
+        m.bound(elem) match {
           case e: Event        => Vector(e.serial)
           case a: Array[Event] => a.map(_.serial).sorted.toVector
         }
@@ -418,16 +417,11 @@ private[cep] abstract class EngineCore[P <: PartialMatch](
     false
   }
 
-  private def boundAt(bound: Array[AnyRef], elem: Int): AnyRef = {
-    val s = elemSlot(elem)
-    if (s < bound.length) bound(s) else null
-  }
-
   private def negMatches(k: Int, bound: Array[AnyRef], b: Event): Boolean = {
     val deps = negDeps(k)
     var d = 0
     while (d < deps.length) {
-      val ok = boundAt(bound, deps(d)) match {
+      val ok = bound(deps(d)) match {
         case null            => false
         case e: Event        => math.abs(e.ts - b.ts) <= W
         case a: Array[Event] => a.forall(e => math.abs(e.ts - b.ts) <= W)
@@ -439,7 +433,7 @@ private[cep] abstract class EngineCore[P <: PartialMatch](
     var i = 0
     while (i < preds.length) {
       val p = preds(i)
-      val v = boundAt(bound, p.posIdx)
+      val v = bound(p.posIdx)
       if (v == null || !evalAgainst(v, p.op, b, p.negOnLeft)) return false
       i += 1
     }

@@ -14,7 +14,7 @@ final case class Event(typeId: Int, ts: Double, serial: Long, attrs: Array[Doubl
   def diff: Double = attrs(0)
 }
 
-/** Pairwise predicate evaluation shared by both engines and used to mirror the
+/** Pairwise predicate evaluation of the engine, also used to mirror the
   * Catalyst/DuckDB formulations in tests.
   */
 object PredEval {
@@ -36,7 +36,7 @@ final case class CepMatch(byElem: Vector[Vector[Long]], minTs: Double)
   *
   * @param events        primitive events processed
   * @param matches       full matches emitted
-  * @param pmCreated     partial matches (NFA levels / tree-node instances) created
+  * @param pmCreated     partial matches (plan-node instances) created
   * @param peakLivePm    peak number of partial matches the engine held. An
   *                      expired one is released when a scan of its list next
   *                      passes it or by the sweep every 1024 events, so this is
@@ -77,16 +77,8 @@ final case class EngineConfig(
 /** Result of one engine run. `capped` is true when `pmCap` aborted the run. */
 final case class RunResult(stats: RunStats, matches: Vector[CepMatch], capped: Boolean)
 
-/** Common interface of the two evaluation mechanisms (§2.2, §2.3). */
+/** An evaluation engine: [[TreeEngine]] runs both plan families (§2.2, §2.3). */
 trait CepEngine {
   /** Process `events` (must be sorted by (ts, serial)) and report matches/stats. */
   def run(events: IndexedSeq[Event]): RunResult
-}
-
-object CepEngine {
-  /** The engine of a planned branch: [[NfaEngine]] for an order plan,
-    * [[TreeEngine]] for a tree plan.
-    */
-  def forBranch(branch: PlannedBranch, config: EngineConfig = EngineConfig()): CepEngine =
-    if (branch.plan.isLeft) new NfaEngine(branch, config) else new TreeEngine(branch, config)
 }

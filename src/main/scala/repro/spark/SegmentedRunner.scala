@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.cep.{CepEngine, CepMatch, Event, EngineConfig}
+import repro.cep.{CepMatch, EngineConfig, Event, TreeEngine}
 import repro.core.{NextMatch, PlannedBranch}
 
 /** One stream event as a Dataset row. */
@@ -66,8 +66,7 @@ object SegmentedRunner {
           .map { case (_, t, ts, serial, diff, price) => Event(t, ts, serial, Array(diff, price)) }
           .toArray
           .sortBy(e => (e.ts, e.serial))
-        CepEngine
-          .forBranch(branch, config)
+        new TreeEngine(branch, config)
           .run(scala.collection.immutable.ArraySeq.unsafeWrapArray(evs))
           .matches
           .iterator
@@ -79,6 +78,6 @@ object SegmentedRunner {
   /** Driver-side reference run over the full stream (for tests/benches). */
   def runLocal(events: Array[Event], branch: PlannedBranch, config: EngineConfig = EngineConfig())
       : Vector[CepMatch] = {
-    CepEngine.forBranch(branch, config).run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events)).matches
+    new TreeEngine(branch, config).run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events)).matches
   }
 }

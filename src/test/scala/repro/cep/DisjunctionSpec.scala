@@ -21,8 +21,7 @@ class DisjunctionSpec extends AnyFunSuite {
       val branches = Planner.plan(p, provider, algo)
       assert(branches.size == 2)
       val total = branches.map { b =>
-        val engine: CepEngine = if (b.plan.isLeft) new NfaEngine(b) else new TreeEngine(b)
-        engine.run(s.toIndexedSeq).stats.matches
+        new TreeEngine(b).run(s.toIndexedSeq).stats.matches
       }.sum
       assert(total == 2, s"$algo")
     }
@@ -34,7 +33,7 @@ class DisjunctionSpec extends AnyFunSuite {
     val s = Seq(ev(0, 1, 0), ev(1, 2, 1), ev(2, 3, 2))
     val branches = Planner.plan(p, provider, DP_LD)
     val perBranch = branches.map { b =>
-      new NfaEngine(b).run(s.toIndexedSeq).stats.matches
+      new TreeEngine(b).run(s.toIndexedSeq).stats.matches
     }
     assert(perBranch == Vector(1L, 1L))
   }
@@ -45,7 +44,7 @@ class DisjunctionSpec extends AnyFunSuite {
     // branch 0 blocked by the predicate (5.0 !< 1.0); branch 1 unconstrained
     val s = Seq(ev(0, 1, 0, diff = 5.0), ev(1, 2, 1, diff = 1.0), ev(2, 3, 2), ev(3, 4, 3))
     val branches = Planner.plan(p, provider, GREEDY)
-    val counts = branches.map(b => new NfaEngine(b).run(s.toIndexedSeq).stats.matches)
+    val counts = branches.map(b => new TreeEngine(b).run(s.toIndexedSeq).stats.matches)
     assert(counts.sum == 1)
   }
 

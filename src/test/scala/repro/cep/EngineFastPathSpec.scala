@@ -61,7 +61,7 @@ class EngineFastPathSpec extends AnyFunSuite {
       val posN = sp.positives.size
       val order = rnd.shuffle((0 until posN).toVector)
       val engines = Seq(
-        new NfaEngine(orderBranch(sp, order, strategy)),
+        new TreeEngine(orderBranch(sp, order, strategy)),
         new TreeEngine(treeBranch(sp, TreePlan.leftDeep(OrderPlan(order)), strategy)),
         new TreeEngine(treeBranch(sp, PlanOracles.enumerate((0 until posN).toVector).last, strategy)),
       )
@@ -77,7 +77,7 @@ class EngineFastPathSpec extends AnyFunSuite {
     def consumedAfter(len: Int): Seq[(Int, Long)] = {
       val s = (0 until len).map(i => ev(i % 3 % 2, i * 0.05, i.toLong))
       val engines = Seq(
-        new NfaEngine(orderBranch(seq2, Vector(1, 0), NextMatch), EngineConfig(collectMatches = false)),
+        new TreeEngine(orderBranch(seq2, Vector(1, 0), NextMatch), EngineConfig(collectMatches = false)),
         new TreeEngine(treeBranch(seq2, NodePlan(LeafPlan(0), LeafPlan(1)), NextMatch),
           EngineConfig(collectMatches = false)),
       )

@@ -44,7 +44,7 @@ object EngineTestKit {
 
   def runNfa(sp: SimplePattern, order: Vector[Int], events: Seq[Event],
              strategy: Strategy = AnyMatch, config: EngineConfig = EngineConfig()): RunResult =
-    new NfaEngine(orderBranch(sp, order, strategy), config).run(events.toIndexedSeq)
+    new TreeEngine(orderBranch(sp, order, strategy), config).run(events.toIndexedSeq)
 
   def runTree(sp: SimplePattern, tree: TreePlan, events: Seq[Event],
               strategy: Strategy = AnyMatch, config: EngineConfig = EngineConfig()): RunResult =

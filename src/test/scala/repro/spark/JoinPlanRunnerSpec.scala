@@ -36,7 +36,7 @@ class JoinPlanRunnerSpec extends SparkSpec {
     val sparkRows = JoinPlanRunner.run(df, branch).collect()
       .map(r => Vector.tabulate(3)(i => Vector(r.getLong(i)))).toSet
     val engineMatches = EngineTestKit.matchSet(
-      new repro.cep.NfaEngine(branch).run(events.toIndexedSeq))
+      new repro.cep.TreeEngine(branch).run(events.toIndexedSeq))
     assert(sparkRows == engineMatches)
     assert(sparkRows.nonEmpty)
   }
