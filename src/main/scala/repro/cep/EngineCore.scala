@@ -324,6 +324,15 @@ private[cep] abstract class EngineCore(
     false
   }
 
+  /** The number of matches emitted so far: under a consuming strategy, no
+    * event was consumed while it stays the same.
+    */
+  protected final def emitted: Long = nMatches
+
+  /** Whether an emission after the `since`-th consumed a member of `a`. */
+  protected final def consumedSince(since: Long, a: Array[Event]): Boolean =
+    consuming && nMatches != since && a.exists(x => consumed.contains(x.serial))
+
   /** After a consumption, held partial matches holding consumed events die. */
   private def killConsumed(): Unit = {
     var l = 0
@@ -448,4 +457,7 @@ private[cep] abstract class EngineCore(
   private[cep] def heldLive: Long =
     lists.iterator.map(list => (0 until list.size).count(!list(_).dead).toLong).sum
   private[cep] def consumedSize: Int = consumed.size
+  /** Held non-dead partial matches that hold a consumed event. */
+  private[cep] def heldConsumed: Long =
+    lists.iterator.map(list => (0 until list.size).count(i => !list(i).dead && holdsConsumed(list(i).bound)).toLong).sum
 }

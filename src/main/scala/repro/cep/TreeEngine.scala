@@ -33,15 +33,14 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     ) {
 
   // --- static tree wiring -------------------------------------------------
-  // Node ids: 0..nNodes-1; node 0 is the root. For each node we precompute its
-  // element mask, parent, sibling, and the cross predicates checked when its
-  // two children combine.
+  // Node ids: 0..nNodes-1 in pre-order; node 0 is the root. For each node we
+  // precompute its element mask, parent, sibling, and the cross predicates
+  // checked when its two children combine.
   private val plan = branch.plan.fold(TreePlan.leftDeep, identity)
   private case class NodeInfo(
       mask: Int,
       parent: Int,            // -1 for root
       sibling: Int,           // -1 for root
-      left: Int, right: Int,  // -1 for leaves
       leafElem: Int,          // -1 for internal
       kleene: Boolean,        // Kleene leaf
       inPlace: Boolean,       // leaf read from its event buffer
@@ -57,27 +56,21 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
       t match {
         case LeafPlan(e) =>
           val inPlace = branch.plan.isLeft && e != firstLeaf
-          buf(id) = NodeInfo(1 << e, parent, -1, -1, -1, e, positive.elems(e).kleene, inPlace, Array.empty, Array.empty)
+          buf(id) = NodeInfo(1 << e, parent, -1, e, positive.elems(e).kleene, inPlace, Array.empty, Array.empty)
         case NodePlan(l, r) =>
           val li = build(l, id); val ri = build(r, id)
+          buf(li) = buf(li).copy(sibling = ri)
+          buf(ri) = buf(ri).copy(sibling = li)
           val cross = positive.preds.filter { p =>
             val bi = 1 << p.i; val bj = 1 << p.j
             ((l.mask & bi) != 0 && (r.mask & bj) != 0) || ((l.mask & bj) != 0 && (r.mask & bi) != 0)
           }.toArray
-          buf(id) = NodeInfo(l.mask | r.mask, parent, -1, li, ri, -1, false, false, cross, Array.empty)
+          buf(id) = NodeInfo(l.mask | r.mask, parent, -1, -1, false, false, cross, Array.empty)
       }
       id
     }
     build(plan, -1)
-    // fill sibling pointers
     val arr = buf.toArray
-    arr.indices.foreach { id =>
-      val ni = arr(id)
-      if (ni.left >= 0) {
-        arr(ni.left) = arr(ni.left).copy(sibling = ni.right)
-        arr(ni.right) = arr(ni.right).copy(sibling = ni.left)
-      }
-    }
     // attach negation specs at the lowest instance-creating node covering all
     // dependencies; without dependencies, a tree plan uses the root and an
     // order plan its first leaf
@@ -99,21 +92,12 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   }
 
   override protected def onEvent(elem: Int, e: Event): Unit = {
-    val leaf = leafOfElem(elem)
-    if (nodes(leaf).inPlace) scan(nodes(leaf).sibling, null, e)
-    else if (nodes(leaf).kleene) {
-      // Subset semantics at the leaf: every subset of recent same-type events
-      // containing `e` forms a leaf instance (§5.2).
-      val base = kleeneBase(null, nodes(leaf), e.serial)
-      var m = 0
-      while (m < (1 << base.length)) { makeLeafInst(leaf, kleeneSubset(base, m, e)); m += 1 }
-    } else makeLeafInst(leaf, e)
-  }
-
-  private def makeLeafInst(leaf: Int, value: AnyRef): Unit = {
-    val bound = new Array[AnyRef](n)
-    bound(nodes(leaf).leafElem) = value
-    record(new PartialMatch(leaf, bound, minTsOf(value), maxTsOf(value)))
+    val leaf = nodes(leafOfElem(elem))
+    if (leaf.inPlace) scan(leaf.sibling, null, e)
+    // Subset semantics at a Kleene leaf: every subset of recent same-type
+    // events containing `e` forms a leaf instance (§5.2).
+    else if (leaf.kleene) spawnKleene(null, leaf, e)
+    else spawn(null, leaf, e)
   }
 
   private def minTsOf(value: AnyRef): Double = value match {
@@ -190,11 +174,9 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     record(new PartialMatch(parent, bound, math.min(a.minTs, b.minTs), math.max(a.maxTs, b.maxTs)))
   }
 
-  private def evalPair(lv: AnyRef, rv: AnyRef, op: PredOp): Boolean = (lv, rv) match {
-    case (l: Event, r: Event)              => PredEval.eval(op, l, r)
-    case (l: Event, r: Array[Event])       => r.forall(x => PredEval.eval(op, l, x))
-    case (l: Array[Event], r: Event)       => l.forall(x => PredEval.eval(op, x, r))
-    case (l: Array[Event], r: Array[Event]) => l.forall(x => r.forall(y => PredEval.eval(op, x, y)))
+  private def evalPair(lv: AnyRef, rv: AnyRef, op: PredOp): Boolean = rv match {
+    case r: Event        => evalAgainst(lv, op, r, evIsLeft = false)
+    case r: Array[Event] => r.forall(evalAgainst(lv, op, _, evIsLeft = false))
   }
 
   private def negOk(info: NodeInfo, inst: PartialMatch): Boolean = {
@@ -206,7 +188,7 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     true
   }
 
-  // --- leaves read in place ---------------------------------------------------
+  // --- leaf bindings: in-place leaves, Kleene subsets, new instances ----------
 
   /** Bind `e`, an arriving event of in-place leaf `leaf`, to instance `pm`:
     * alone, or for a Kleene leaf with every subset of earlier compatible
@@ -217,28 +199,37 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
       if (leaf.kleene) spawnKleene(pm, leaf, e) else spawn(pm, leaf, e)
     }
 
-  /** Bind the buffered events of in-place leaf `leaf` to a new instance `pm`. */
+  /** Bind the buffered events of in-place leaf `leaf` to a new instance `pm`,
+    * until an emission kills `pm`.
+    */
   private def extend(pm: PartialMatch, leaf: NodeInfo): Unit =
     if (leaf.kleene) spawnKleene(pm, leaf, null)
     else {
       val buf = buffers(leaf.leafElem)
       var i = 0
-      while (i < buf.length) {
+      while (i < buf.length && !pm.dead) {
         val b = buf(i)
         if (compatible(pm, leaf, b)) spawn(pm, leaf, b)
         i += 1
       }
     }
 
-  /** Bind every candidate Kleene binding of `leaf` to `pm`: the non-empty
+  /** [[spawn]] every candidate Kleene binding of `leaf`: the non-empty
     * subsets of [[kleeneBase]], each with `mustInclude` appended when it is
     * not null (the arriving event; subsets of buffered events alone are bound
-    * when `pm` is created).
+    * when `pm` is created). A subset holding an event that an emission of
+    * this loop consumed is skipped, and the loop stops when such an emission
+    * kills `pm`.
     */
   private def spawnKleene(pm: PartialMatch, leaf: NodeInfo, mustInclude: Event): Unit = {
     val base = kleeneBase(pm, leaf, if (mustInclude == null) Long.MaxValue else mustInclude.serial)
+    val drawn = emitted
     var m = if (mustInclude == null) 1 else 0 // with `mustInclude`, {e} alone is a binding
-    while (m < (1 << base.length)) { spawn(pm, leaf, kleeneSubset(base, m, mustInclude)); m += 1 }
+    while (m < (1 << base.length) && !(pm != null && pm.dead)) {
+      val members = kleeneSubset(base, m, mustInclude)
+      if (!consumedSince(drawn, members)) spawn(pm, leaf, members)
+      m += 1
+    }
   }
 
   /** The Kleene candidates of `leaf`: the last `maxKleeneBuffer` of its
@@ -277,11 +268,16 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     true
   }
 
-  /** Record the parent instance of `pm` with `value` bound at `leaf`. */
+  /** Record the instance binding `value` at `leaf`: the parent instance of
+    * `pm`, or with no `pm` a leaf instance.
+    */
   private def spawn(pm: PartialMatch, leaf: NodeInfo, value: AnyRef): Unit = {
-    val bound = pm.bound.clone()
+    val bound = if (pm == null) new Array[AnyRef](n) else pm.bound.clone()
     bound(leaf.leafElem) = value
-    record(new PartialMatch(leaf.parent, bound,
-      math.min(pm.minTs, minTsOf(value)), math.max(pm.maxTs, maxTsOf(value))))
+    val lo = minTsOf(value)
+    val hi = maxTsOf(value)
+    record(
+      if (pm == null) new PartialMatch(leafOfElem(leaf.leafElem), bound, lo, hi)
+      else new PartialMatch(leaf.parent, bound, math.min(pm.minTs, lo), math.max(pm.maxTs, hi)))
   }
 }

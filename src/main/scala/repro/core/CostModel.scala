@@ -144,13 +144,6 @@ final class CostModel(
       W * mn * selProd(mask)
     }
 
-  /** Precomputed `pm` for all 2^n masks (used by the DP planners). */
-  def pmTable(): Array[Double] = {
-    require(n <= 24, s"pm table would need 2^$n entries")
-    ensureTable()
-    tabRef
-  }
-
   /** Per-step weight applied by `Cost_ord`: the paper's `Cost_ord^next` sums
     * `W·m[k]` while the skip-till-any version sums `PM(k)` directly.
     */

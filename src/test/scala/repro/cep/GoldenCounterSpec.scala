@@ -113,10 +113,56 @@ class GoldenCounterSpec extends AnyFunSuite {
     (609, Contiguity) -> (270L, 25040L, 976L, 150L, -1962380388),
   )
 
+  /** The entries that changed when the engine stopped creating partial
+    * matches that hold an event consumed earlier in the same arrival (under
+    * skip-till-next and contiguity only).
+    */
+  private val withoutDeadWorkOrders: Map[(Int, Strategy), Summary] = Map(
+    (601, NextMatch) -> (292L, 4895L, 306L, 36L, 1624088622),
+    (601, Contiguity) -> (546L, 1807L, 256L, 36L, 785951532),
+    (602, NextMatch) -> (516L, 13493L, 656L, 126L, -1432847864),
+    (602, Contiguity) -> (294L, 12666L, 887L, 126L, 1150504746),
+    (603, NextMatch) -> (1752L, 66316L, 5110L, 696L, -721231118),
+    (603, Contiguity) -> (192L, 39679L, 2741L, 696L, -369964697),
+    (604, NextMatch) -> (1206L, 10327L, 910L, 120L, 1594275630),
+    (604, Contiguity) -> (180L, 15534L, 1518L, 120L, -979565250),
+    (605, NextMatch) -> (984L, 60443L, 3709L, 552L, 468392507),
+    (606, NextMatch) -> (8080L, 1367922L, 171986L, 3000L, -1733519318),
+    (606, Contiguity) -> (8080L, 1367922L, 171986L, 3000L, -1733519318),
+    (607, NextMatch) -> (150L, 1314L, 24L, 38L, -400556824),
+    (607, Contiguity) -> (294L, 1050L, 24L, 38L, -1220099822),
+    (608, NextMatch) -> (408L, 6426L, 167L, 150L, 1904561323),
+    (608, Contiguity) -> (234L, 4602L, 167L, 150L, -1048021367),
+    (609, NextMatch) -> (1512L, 42126L, 1693L, 696L, 241238483),
+    (609, Contiguity) -> (432L, 20474L, 1025L, 696L, 303535640),
+  )
+  private val withoutDeadWorkTrees: Map[(Int, Strategy), Summary] = Map(
+    (601, NextMatch) -> (146L, 3364L, 296L, 17L, -1991468737),
+    (601, Contiguity) -> (273L, 1529L, 248L, 17L, -1625503520),
+    (602, NextMatch) -> (258L, 10208L, 476L, 39L, -664292639),
+    (602, Contiguity) -> (147L, 10558L, 663L, 39L, 602550008),
+    (604, NextMatch) -> (603L, 8731L, 678L, 36L, 1499181824),
+    (604, Contiguity) -> (90L, 14801L, 1222L, 36L, -228230726),
+    (606, NextMatch) -> (7070L, 1356123L, 147970L, 840L, 1289599240),
+    (606, Contiguity) -> (7070L, 1356123L, 147970L, 840L, 1289599240),
+  )
+
+  /** `got` equals the current value; a changed entry keeps the recorded
+    * matches and peak buffered events, and has no more created or peak live
+    * partial matches than recorded.
+    */
+  private def check(got: Summary, recorded: Summary, changed: Option[Summary], per: Vector[Counters]): Unit = {
+    assert(got == changed.getOrElse(recorded), s"per plan: $per")
+    changed.foreach { c =>
+      assert(c._1 == recorded._1 && c._4 == recorded._4 && c._2 <= recorded._2 && c._3 <= recorded._3)
+    }
+  }
+
   for ((seed, n, withNeg, withKl) <- patterns; strategy <- Seq[Strategy](AnyMatch, NextMatch, Contiguity))
     test(s"golden counters: seed $seed, n=$n, neg=$withNeg, kleene=$withKl, $strategy") {
+      val key = (seed, strategy)
       val (orders, trees) = counters(seed, n, withNeg, withKl, strategy)
-      assert(summary(orders) == goldenOrders((seed, strategy)), s"per order: $orders")
-      assert(summary(trees) == goldenTrees((seed, strategy)), s"per tree: $trees")
+      check(summary(orders), goldenOrders(key), withoutDeadWorkOrders.get(key), orders)
+      check(summary(trees), goldenTrees(key), withoutDeadWorkTrees.get(key), trees)
     }
 }
