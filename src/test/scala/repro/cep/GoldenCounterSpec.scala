@@ -29,7 +29,7 @@ class GoldenCounterSpec extends AnyFunSuite {
   )
 
   /** Per plan (every order in `permutations` order, then every tree of
-    * `TreePlan.enumerate`): matches, pmCreated, peakLivePm and peakBuffered.
+    * `PlanOracles.enumerate`): matches, pmCreated, peakLivePm and peakBuffered.
     */
   private def counters(seed: Int, n: Int, withNeg: Boolean, withKl: Boolean,
                        strategy: Strategy): (Vector[Counters], Vector[Counters]) = {
