@@ -45,6 +45,7 @@ final case class CepMatch(byElem: Vector[Vector[Long]], minTs: Double)
   * @param wallNanos     total processing wall time
   * @param latencyNanosSum sum over matches of (emission time − start of
   *                        processing of the completing event), §6.1 definition
+  * @param kleeneTruncated Kleene candidate lists that `maxKleeneBuffer` cut
   */
 final case class RunStats(
     events: Long,
@@ -54,6 +55,7 @@ final case class RunStats(
     peakBuffered: Long,
     wallNanos: Long,
     latencyNanosSum: Long,
+    kleeneTruncated: Long = 0L,
 ) {
   def throughput: Double = if (wallNanos == 0) 0.0 else events * 1e9 / wallNanos
   def avgLatencyMicros: Double = if (matches == 0) 0.0 else latencyNanosSum / 1e3 / matches
@@ -66,7 +68,8 @@ final case class RunStats(
   *                        valve for pathological plans (the paper just let them
   *                        run for weeks)
   * @param maxKleeneBuffer cap on buffered events considered by one KL subset
-  *                        expansion (2^k children); benches keep k small
+  *                        expansion (2^k children; a cut counts in
+  *                        `RunStats.kleeneTruncated`); benches keep k small
   */
 final case class EngineConfig(
     collectMatches: Boolean = true,

@@ -2,35 +2,51 @@ package repro.cep
 
 import repro.core._
 import scala.collection.mutable
+import scala.util.control.ControlThrowable
 
 /** Instance-based evaluation engine for both plan families.
   *
-  * A tree plan runs as ZStream (§2.3) modified, as in the paper, to support
-  * arbitrary time windows: every arriving event creates a leaf instance, which
-  * recursively combines with instances buffered at its sibling subtree;
-  * instances reaching the root are full matches. A pair of sibling instances
-  * is combined when the later of the two is created, so every cross
-  * combination is produced exactly once.
+  * A plan runs as a tree: a tree plan as ZStream (§2.3) modified, as in the
+  * paper, to support arbitrary time windows, and an order plan as its
+  * left-deep tree (Theorem 1). One rule, read off the tree's shape, sets each
+  * leaf's kind. A leaf creates an instance per arriving event when it is the
+  * left leaf of a leaf–leaf pair, or the whole plan. Every other leaf is read
+  * in place from its event buffer, as the lazy NFA of §2.2 reads its later
+  * states: an arriving event binds to the live instances of its sibling, and a
+  * new sibling instance binds the buffered events. Instances combine
+  * recursively with the instances of their sibling subtree, when the later of
+  * the two is created, so every cross combination is produced exactly once;
+  * instances reaching the root are full matches. A candidate event is checked
+  * against the consumed set, and a Kleene leaf filters compatible events before
+  * it enumerates their subsets (§5.2).
   *
-  * An order plan runs as its left-deep tree (Theorem 1) evaluated like the
-  * lazy NFA of §2.2: only the first leaf creates instances. Every later leaf is
-  * read in place from its event buffer: an arriving event binds to the live
-  * instances of its sibling, and a new sibling instance binds the buffered
-  * events. A candidate event is checked against the consumed set, and a Kleene
-  * leaf filters compatible events before it enumerates their subsets (§5.2).
+  * Per event: the input-order guard, the event counter and clock, the
+  * 1024-event sweep check and a type dispatch through an array indexed by
+  * `typeId`. An event of a type the pattern does not use stops there. An event
+  * of a pattern type first evicts the buffered events that left the window
+  * (one arrival-ordered FIFO drives this, and it also prunes the consumed
+  * set), is buffered and, for a positive element, processed. Eviction may wait
+  * for a pattern event: the cutoff only grows, and the buffers are read only
+  * after such an event.
+  *
+  * Partial matches live in `lists`, one per plan node. `liveCount` is the
+  * number of non-dead partial matches held there: a scan drops expired and
+  * dead entries as it passes them ([[expire]], [[PmList.keep]]), and the sweep
+  * does so for lists no scan reached. A match emitted in the middle of a scan
+  * runs [[killConsumed]] over the list being compacted, so an entry dropped as
+  * expired is also marked dead and never counted twice.
   *
   * Negation is checked at the lowest instance-creating node that covers the
   * elements it depends on (§5.3). Every plan of a pattern emits the same match
   * set under skip-till-any and contiguity, verified by the tests against a
   * brute-force oracle, the Catalyst join formulation and DuckDB.
   */
-final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfig())
-    extends EngineCore(
-      branch, config,
-      // An order plan buffers every element; a tree plan only Kleene ones.
-      bufferedElems = branch.positive.elems.map(e => e.kleene || branch.plan.isLeft).toArray,
-      nLists = 2 * branch.positive.size - 1, // one per tree node
-    ) {
+final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfig()) extends CepEngine {
+
+  private val positive: SimplePattern = branch.positive
+  private val n: Int = positive.size
+  private val W: Double = positive.window
+  private val consuming: Boolean = branch.strategy != AnyMatch
 
   // --- static tree wiring -------------------------------------------------
   // Node ids: 0..nNodes-1 in pre-order; node 0 is the root. For each node we
@@ -48,17 +64,17 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
       negSpecs: Array[Int],   // negation specs triggered at this node
   )
   private val nodes: Array[NodeInfo] = {
-    val firstLeaf = plan.leaves.head
     val buf = mutable.ArrayBuffer.empty[NodeInfo]
-    def build(t: TreePlan, parent: Int): Int = {
+    def build(t: TreePlan, parent: Int, inPlace: Boolean): Int = {
       val id = buf.size
       buf += null
       t match {
         case LeafPlan(e) =>
-          val inPlace = branch.plan.isLeft && e != firstLeaf
           buf(id) = NodeInfo(1 << e, parent, -1, e, positive.elems(e).kleene, inPlace, Array.empty, Array.empty)
         case NodePlan(l, r) =>
-          val li = build(l, id); val ri = build(r, id)
+          // only the left leaf of a leaf–leaf pair creates instances
+          val li = build(l, id, inPlace = !r.isInstanceOf[LeafPlan])
+          val ri = build(r, id, inPlace = true)
           buf(li) = buf(li).copy(sibling = ri)
           buf(ri) = buf(ri).copy(sibling = li)
           val cross = positive.preds.filter { p =>
@@ -69,17 +85,14 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
       }
       id
     }
-    build(plan, -1)
+    build(plan, -1, inPlace = false)
     val arr = buf.toArray
     // attach negation specs at the lowest instance-creating node covering all
-    // dependencies; without dependencies, a tree plan uses the root and an
-    // order plan its first leaf
+    // dependencies (the first such in pre-order on a tie)
     branch.negs.zipWithIndex.foreach { case (spec, k) =>
       val depMask = spec.dependsOn.foldLeft(0)((m, d) => m | (1 << d))
-      val candidates = arr.indices.filter(id => !arr(id).inPlace && (arr(id).mask & depMask) == depMask)
-      val target =
-        if (depMask == 0 && branch.plan.isRight) 0
-        else candidates.minBy(id => java.lang.Integer.bitCount(arr(id).mask))
+      val target = arr.indices.filter(id => !arr(id).inPlace && (arr(id).mask & depMask) == depMask)
+        .minBy(id => java.lang.Integer.bitCount(arr(id).mask))
       arr(target) = arr(target).copy(negSpecs = arr(target).negSpecs :+ k)
     }
     arr
@@ -91,13 +104,143 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     a
   }
 
-  override protected def onEvent(elem: Int, e: Event): Unit = {
+  /** Per typeId: the positive element (0..n-1), n + negation spec, or -1. */
+  private val slotOfType: Array[Int] = {
+    val types = positive.elems.map(_.typeId) ++ branch.negs.map(_.elem.typeId)
+    require(types.forall(_ >= 0), s"event type ids must be non-negative: $types")
+    val a = Array.fill(if (types.isEmpty) 0 else types.max + 1)(-1)
+    types.zipWithIndex.foreach { case (t, s) => a(t) = s }
+    a
+  }
+  private val negDeps: Array[Array[Int]] = branch.negs.map(_.dependsOn.toArray).toArray
+  private val negPreds: Array[Array[NegPred]] = branch.negs.map(_.preds.toArray).toArray
+
+  // --- run state ------------------------------------------------------------
+  /** The in-window events of each slot of [[slotOfType]]. */
+  private val buffers = Array.fill(n + branch.negs.size)(mutable.ArrayDeque.empty[Event])
+  private val fifo = mutable.ArrayDeque.empty[Event]
+  private val lists: Array[PmList] = Array.fill(nodes.length)(new PmList)
+  private val consumed = new SerialSet
+  private var now: Double = Double.NegativeInfinity
+  private var prev: Event = _
+  private var liveCount = 0L
+  private var nEvents = 0L
+  private var nMatches = 0L
+  private var pmCreated = 0L
+  private var peakLive = 0L
+  private var peakBuffered = 0L
+  private var latSum = 0L
+  private var kleeneTruncated = 0L
+  private var tEventStart = 0L
+  private var out: mutable.ArrayBuffer[CepMatch] = _
+  private var wasCapped = false
+
+  private object Abort extends ControlThrowable
+
+  /** Process `events` (sorted by (ts, serial); an event that breaks the order
+    * throws IllegalArgumentException) and report matches and counters.
+    */
+  override def run(events: IndexedSeq[Event]): RunResult = {
+    out = mutable.ArrayBuffer.empty[CepMatch]
+    val t0 = System.nanoTime()
+    try {
+      var i = 0
+      while (i < events.length) { process(events(i)); i += 1 }
+    } catch { case Abort => wasCapped = true }
+    val wall = System.nanoTime() - t0
+    RunResult(
+      RunStats(nEvents, nMatches, pmCreated, peakLive, peakBuffered, wall, latSum, kleeneTruncated),
+      out.toVector,
+      wasCapped,
+    )
+  }
+
+  private def process(e: Event): Unit = {
+    if (e.ts < now || (prev != null && e.ts == now && e.serial < prev.serial)) outOfOrder(e)
+    prev = e
+    nEvents += 1
+    now = e.ts
+    if ((nEvents & 1023) == 0) sweep()
+    val t = e.typeId
+    val slot = if (t >= 0 && t < slotOfType.length) slotOfType(t) else -1
+    if (slot >= 0) {
+      evict()
+      buffers(slot).append(e)
+      fifo.append(e)
+      if (fifo.length > peakBuffered) peakBuffered = fifo.length
+      if (slot < n) {
+        tEventStart = System.nanoTime()
+        onEvent(slot, e)
+      }
+    }
+  }
+
+  private def outOfOrder(e: Event): Nothing = {
+    def show(x: Event) = s"(type ${x.typeId}, ts ${x.ts}, serial ${x.serial})"
+    throw new IllegalArgumentException(
+      s"events must be sorted by (ts, serial): event ${show(e)} follows ${show(prev)}")
+  }
+
+  /** Drop buffered events older than the window, and their consumed serials.
+    * Every buffer is a subsequence of the FIFO, so the FIFO's head is also the
+    * head of its own buffer.
+    */
+  private def evict(): Unit = {
+    val cutoff = now - W
+    while (fifo.nonEmpty && fifo.head.ts < cutoff) {
+      val ev = fifo.removeHead()
+      val slot = slotOfType(ev.typeId)
+      buffers(slot).removeHead()
+      if (consuming && slot < n) consumed -= ev.serial
+    }
+  }
+
+  /** Process an arriving event of positive element `elem`. */
+  private def onEvent(elem: Int, e: Event): Unit = {
     val leaf = nodes(leafOfElem(elem))
     if (leaf.inPlace) scan(leaf.sibling, null, e)
     // Subset semantics at a Kleene leaf: every subset of recent same-type
     // events containing `e` forms a leaf instance (§5.2).
     else if (leaf.kleene) spawnKleene(null, leaf, e)
     else spawn(null, leaf, e)
+  }
+
+  // --- partial matches -------------------------------------------------------
+
+  /** Store a live partial match in list `l`. */
+  private def hold(l: Int, pm: PartialMatch): Unit = {
+    lists(l) += pm
+    liveCount += 1
+    if (liveCount > peakLive) peakLive = liveCount
+  }
+
+  /** Release a non-dead partial match that a scan found expired. */
+  private def expire(pm: PartialMatch): Unit = { pm.dead = true; liveCount -= 1 }
+
+  /** Every `1 << 10` events: release expired and dead entries of all lists. */
+  private def sweep(): Unit = {
+    val cutoff = now - W
+    var l = 0
+    while (l < lists.length) {
+      val list = lists(l)
+      val sz = list.size
+      var gone = 0 // released entries before the first kept one
+      var kept = 0 // kept entries, moved up to follow the `gone` prefix
+      var i = 0
+      while (i < sz) {
+        val pm = list(i)
+        if (!pm.dead && pm.minTs >= cutoff) {
+          if (gone + kept != i) list(gone + kept) = pm
+          kept += 1
+        } else {
+          if (!pm.dead) expire(pm)
+          if (kept == 0) gone += 1
+        }
+        i += 1
+      }
+      list.keep(gone, kept, sz)
+      l += 1
+    }
   }
 
   private def minTsOf(value: AnyRef): Double = value match {
@@ -110,12 +253,13 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     case a: Array[Event] => a.last.ts
   }
 
-  /** Store the instance (emitting at root) and pair it with its sibling: the
-    * sibling's buffered events when that is a leaf read in place, else the
-    * sibling's instances.
+  /** Count and store the instance (emitting at root; aborting the run past
+    * `pmCap`) and pair it with its sibling: the sibling's buffered events when
+    * that is a leaf read in place, else the sibling's instances.
     */
   private def record(inst: PartialMatch): Unit = {
-    countCreated()
+    pmCreated += 1
+    if (pmCreated > config.pmCap) throw Abort
     val info = nodes(inst.node)
     if (!negOk(info, inst)) return
     if (inst.node == rootId) { emit(inst); return }
@@ -174,6 +318,89 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     record(new PartialMatch(parent, bound, math.min(a.minTs, b.minTs), math.max(a.maxTs, b.maxTs)))
   }
 
+  // --- consumption and emission ---------------------------------------------
+
+  private def holdsConsumed(bound: Array[AnyRef]): Boolean = {
+    var s = 0
+    while (s < bound.length) {
+      bound(s) match {
+        case null            => ()
+        case e: Event        => if (consumed.contains(e.serial)) return true
+        case a: Array[Event] => if (a.exists(x => consumed.contains(x.serial))) return true
+      }
+      s += 1
+    }
+    false
+  }
+
+  /** Whether an emission after the `since`-th consumed a member of `a`. */
+  private def consumedSince(since: Long, a: Array[Event]): Boolean =
+    consuming && nMatches != since && a.exists(x => consumed.contains(x.serial))
+
+  /** After a consumption, held partial matches holding consumed events die. */
+  private def killConsumed(): Unit = {
+    var l = 0
+    while (l < lists.length) {
+      val list = lists(l)
+      var i = 0
+      while (i < list.size) {
+        val pm = list(i)
+        if (!pm.dead && holdsConsumed(pm.bound)) { pm.dead = true; liveCount -= 1 }
+        i += 1
+      }
+      l += 1
+    }
+  }
+
+  /** Report a full match; under a consuming strategy, skip it when an earlier
+    * emission of this arrival consumed one of its events, else consume them.
+    */
+  private def emit(m: PartialMatch): Unit = {
+    if (consuming && holdsConsumed(m.bound)) return
+    nMatches += 1
+    latSum += System.nanoTime() - tEventStart
+    if (config.collectMatches) {
+      val byElem = Vector.tabulate(n) { elem =>
+        m.bound(elem) match {
+          case e: Event        => Vector(e.serial)
+          case a: Array[Event] => a.map(_.serial).sorted.toVector
+        }
+      }
+      out += CepMatch(byElem, m.minTs)
+    }
+    if (consuming) {
+      var s = 0
+      while (s < m.bound.length) {
+        m.bound(s) match {
+          case null            => ()
+          case e: Event        => consumed += e.serial
+          case a: Array[Event] => a.foreach(x => consumed += x.serial)
+        }
+        s += 1
+      }
+      killConsumed()
+    }
+  }
+
+  // --- predicates and negation -----------------------------------------------
+
+  /** `op` between a bound value (Event, or every member of a Kleene binding)
+    * and `ev`, with `ev` on the left side when `evIsLeft`.
+    */
+  private def evalAgainst(boundVal: AnyRef, op: PredOp, ev: Event, evIsLeft: Boolean): Boolean =
+    boundVal match {
+      case b: Event =>
+        if (evIsLeft) PredEval.eval(op, ev, b) else PredEval.eval(op, b, ev)
+      case arr: Array[Event] =>
+        var i = 0
+        while (i < arr.length) {
+          val ok = if (evIsLeft) PredEval.eval(op, ev, arr(i)) else PredEval.eval(op, arr(i), ev)
+          if (!ok) return false
+          i += 1
+        }
+        true
+    }
+
   private def evalPair(lv: AnyRef, rv: AnyRef, op: PredOp): Boolean = rv match {
     case r: Event        => evalAgainst(lv, op, r, evIsLeft = false)
     case r: Array[Event] => r.forall(evalAgainst(lv, op, _, evIsLeft = false))
@@ -184,6 +411,43 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     while (s < info.negSpecs.length) {
       if (negBlocked(info.negSpecs(s), inst.bound)) return false
       s += 1
+    }
+    true
+  }
+
+  /** §5.3: does a buffered event of negation spec `k` block `bound`? It must
+    * lie within W of every bound dependency and satisfy its predicates against
+    * them. Negated events are never consumed: every element has its own type.
+    */
+  private def negBlocked(k: Int, bound: Array[AnyRef]): Boolean = {
+    val buf = buffers(n + k)
+    var i = 0
+    while (i < buf.length) {
+      if (negMatches(k, bound, buf(i))) return true
+      i += 1
+    }
+    false
+  }
+
+  private def negMatches(k: Int, bound: Array[AnyRef], b: Event): Boolean = {
+    val deps = negDeps(k)
+    var d = 0
+    while (d < deps.length) {
+      val ok = bound(deps(d)) match {
+        case null            => false
+        case e: Event        => math.abs(e.ts - b.ts) <= W
+        case a: Array[Event] => a.forall(e => math.abs(e.ts - b.ts) <= W)
+      }
+      if (!ok) return false
+      d += 1
+    }
+    val preds = negPreds(k)
+    var i = 0
+    while (i < preds.length) {
+      val p = preds(i)
+      val v = bound(p.posIdx)
+      if (v == null || !evalAgainst(v, p.op, b, p.negOnLeft)) return false
+      i += 1
     }
     true
   }
@@ -223,7 +487,7 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     */
   private def spawnKleene(pm: PartialMatch, leaf: NodeInfo, mustInclude: Event): Unit = {
     val base = kleeneBase(pm, leaf, if (mustInclude == null) Long.MaxValue else mustInclude.serial)
-    val drawn = emitted
+    val drawn = nMatches
     var m = if (mustInclude == null) 1 else 0 // with `mustInclude`, {e} alone is a binding
     while (m < (1 << base.length) && !(pm != null && pm.dead)) {
       val members = kleeneSubset(base, m, mustInclude)
@@ -234,8 +498,9 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
 
   /** The Kleene candidates of `leaf`: the last `maxKleeneBuffer` of its
     * buffered events with a serial below `below` that are compatible with
-    * `pm` (with no `pm`: not consumed). Buffered events all lie within
-    * [now-W, now], so members are pairwise window-compatible by construction.
+    * `pm` (with no `pm`: not consumed), counting a cut list in
+    * `kleeneTruncated`. Buffered events all lie within [now-W, now], so
+    * members are pairwise window-compatible by construction.
     */
   private def kleeneBase(pm: PartialMatch, leaf: NodeInfo, below: Long): Array[Event] = {
     val buf = buffers(leaf.leafElem)
@@ -246,7 +511,23 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
       if (b.serial < below && compatible(pm, leaf, b)) compat += b
       i += 1
     }
+    if (compat.length > config.maxKleeneBuffer) kleeneTruncated += 1
     compat.takeRight(config.maxKleeneBuffer).toArray
+  }
+
+  /** One Kleene binding (§5.2): the members of `base` selected by bit mask
+    * `m`, in buffer order, then `last` when it is not null.
+    */
+  private def kleeneSubset(base: Array[Event], m: Int, last: Event): Array[Event] = {
+    val members = new Array[Event](Integer.bitCount(m) + (if (last == null) 0 else 1))
+    var j = 0
+    var i = 0
+    while (i < base.length) {
+      if ((m & (1 << i)) != 0) { members(j) = base(i); j += 1 }
+      i += 1
+    }
+    if (last != null) members(j) = last
+    members
   }
 
   /** Window, consumption and predicate compatibility of event `ev` of leaf
@@ -280,4 +561,16 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
       if (pm == null) new PartialMatch(leafOfElem(leaf.leafElem), bound, lo, hi)
       else new PartialMatch(leaf.parent, bound, math.min(pm.minTs, lo), math.max(pm.maxTs, hi)))
   }
+
+  // --- test access -------------------------------------------------------------
+
+  /** The live counter. */
+  private[cep] def liveNow: Long = liveCount
+  /** A recount of the non-dead partial matches the engine holds. */
+  private[cep] def heldLive: Long =
+    lists.iterator.map(list => (0 until list.size).count(!list(_).dead).toLong).sum
+  private[cep] def consumedSize: Int = consumed.size
+  /** Held non-dead partial matches that hold a consumed event. */
+  private[cep] def heldConsumed: Long =
+    lists.iterator.map(list => (0 until list.size).count(i => !list(i).dead && holdsConsumed(list(i).bound)).toLong).sum
 }

@@ -82,19 +82,15 @@ class EngineEdgeCaseSpec extends AnyFunSuite {
   }
 
   test("tree engine counts leaf and internal instances consistently") {
-    val s = Seq(ev(0, 1, 0), ev(1, 1.2, 1))
-    val r = runTree(seq2, tree2, s)
-    // 2 leaf instances + 1 root match = 3 created; root emits, so 2 stored
-    assert(r.stats.pmCreated == 3)
-    assert(r.stats.matches == 1)
-  }
-
-  test("NFA engine level counters: chain of three with one combination") {
+    // Only the left leaf of a leaf–leaf pair creates instances; every other
+    // leaf is read in place. A pair: [a] and the root match => 2 created.
+    val r = runTree(seq2, tree2, Seq(ev(0, 1, 0), ev(1, 1.2, 1)))
+    assert(r.stats.pmCreated == 2 && r.stats.matches == 1)
+    // A chain of three, as an order plan or its left-deep tree: [a], [a,b]
+    // and the root match [a,b,c] => 3 created.
     val seq3 = SimplePattern(SEQ, elems(3), Vector.empty, 10.0)
-    val s = Seq(ev(0, 1, 0), ev(1, 2, 1), ev(2, 3, 2))
-    val r = runNfa(seq3, Vector(0, 1, 2), s)
-    // PMs: [a], [a,b], [a,b,c] => 3 created, 1 match
-    assert(r.stats.pmCreated == 3)
-    assert(r.stats.matches == 1)
+    val s3 = Seq(ev(0, 1, 0), ev(1, 2, 1), ev(2, 3, 2))
+    for (r3 <- Seq(runNfa(seq3, Vector(0, 1, 2), s3), runTree(seq3, TreePlan.leftDeep(OrderPlan(Vector(0, 1, 2))), s3)))
+      assert(r3.stats.pmCreated == 3 && r3.stats.matches == 1)
   }
 }

@@ -54,19 +54,20 @@ class EngineEquivalenceSpec extends AnyFunSuite {
     }
   }
 
-  test("next-match strategy: NFA match count equals tree count on its mirror plan") {
-    // Consumption order depends on discovery order, which both engines share
-    // when the tree is the left-deep mirror of the NFA order and events arrive
-    // in timestamp order.
+  test("order plan and its left-deep tree: same counters and matches") {
+    // Theorem 1: an order plan is its left-deep tree, so both plan families
+    // run one evaluation, under every strategy.
+    def timeless(r: RunResult) = r.stats.copy(wallNanos = 0, latencyNanosSum = 0)
     val rnd = new Random(44)
-    for (_ <- 1 to 10) {
-      val n = 2 + rnd.nextInt(2)
-      val sp = randomPattern(rnd, n, withNeg = false, withKl = false)
+    for (strategy <- Seq[Strategy](AnyMatch, NextMatch, Contiguity); iter <- 1 to 8) {
+      val n = 2 + rnd.nextInt(3)
+      val sp = randomPattern(rnd, n, withNeg = iter % 3 == 0, withKl = iter % 4 == 0)
       val s = randomStream(n + 1, 60, 6.0, rnd)
-      val order = rnd.shuffle((0 until n).toVector)
-      val a = runNfa(sp, order, s, strategy = NextMatch).stats.matches
-      val b = runTree(sp, TreePlan.leftDeep(OrderPlan(order)), s, strategy = NextMatch).stats.matches
-      assert(a == b)
+      for (order <- (0 until sp.positives.size).toVector.permutations) {
+        val a = runNfa(sp, order, s, strategy)
+        val b = runTree(sp, TreePlan.leftDeep(OrderPlan(order)), s, strategy)
+        assert(timeless(a) == timeless(b) && a.matches == b.matches, s"$strategy iter=$iter order=$order sp=$sp")
+      }
     }
   }
 
