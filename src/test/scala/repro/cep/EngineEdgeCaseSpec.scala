@@ -86,8 +86,11 @@ class EngineEdgeCaseSpec extends AnyFunSuite {
     // leaf is read in place. A pair: [a] and the root match => 2 created.
     val r = runTree(seq2, tree2, Seq(ev(0, 1, 0), ev(1, 1.2, 1)))
     assert(r.stats.pmCreated == 2 && r.stats.matches == 1)
-    // A chain of three, as an order plan or its left-deep tree: [a], [a,b]
-    // and the root match [a,b,c] => 3 created.
+  }
+
+  test("NFA engine level counters: chain of three with one combination") {
+    // As an order plan or its left-deep tree: [a], [a,b] and the root match
+    // [a,b,c] => 3 created, 1 match.
     val seq3 = SimplePattern(SEQ, elems(3), Vector.empty, 10.0)
     val s3 = Seq(ev(0, 1, 0), ev(1, 2, 1), ev(2, 3, 2))
     for (r3 <- Seq(runNfa(seq3, Vector(0, 1, 2), s3), runTree(seq3, TreePlan.leftDeep(OrderPlan(Vector(0, 1, 2))), s3)))
