@@ -98,6 +98,14 @@ object StockData {
       .map { case (t, rows) =>
         t -> rows.sortBy(_.getLong(2)).take(maxPerType).map(_.getDouble(1)).sorted
       }
+
+  /** The §7.2 preprocessing step: planning statistics measured from the stream
+    * generated for `cfg` (rates, `difference` samples, window, total rate).
+    */
+  def provider(df: DataFrame, cfg: StockConfig): MeasuredStatsProvider = {
+    val rates = measuredRates(df, cfg.horizon)
+    new MeasuredStatsProvider(rates, diffSamples(df), cfg.window, rates.values.sum)
+  }
 }
 
 /** Statistics provider backed by measured stream statistics (§7.2: "all arrival

@@ -5,18 +5,18 @@ import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical.{Join, JoinHint, LogicalPlan}
 import org.apache.spark.sql.catalyst.rules.Rule
 import repro.core.{CostModel, OrderAlgos, Stats}
+import scala.util.DynamicVariable
 
 /** Per-query CEP statistics handed to the optimizer rule. The runner (or test)
   * installs the element-indexed [[Stats]] before executing a CEP join query;
   * element i is recognized in the logical plan by its `e{i}_` column prefix.
+  * The stats are scoped to the calling thread, so concurrent queries each
+  * plan with their own.
   */
 object CepStatsRegistry {
-  @volatile var current: Option[Stats] = None
-  def withStats[T](stats: Stats)(body: => T): T = {
-    current = Some(stats)
-    try body
-    finally current = None
-  }
+  private val stats = new DynamicVariable[Option[Stats]](None)
+  def current: Option[Stats] = stats.value
+  def withStats[T](s: Stats)(body: => T): T = stats.withValue(Some(s))(body)
 }
 
 /** Catalyst optimizer rule (injected via `spark.experimental.extraOptimizations`)

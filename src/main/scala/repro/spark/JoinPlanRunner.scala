@@ -12,12 +12,12 @@ import repro.core._
   * Supports pure patterns (no NOT/KL) in AND-normal form; each pairwise
   * predicate becomes a join condition, and every cross pair additionally carries
   * the window constraint |ts_i − ts_j| ≤ W, exactly as the engines enforce it at
-  * each extension step. Match-set equality with both engines and with DuckDB
-  * (via [[repro.Oracle]]) is asserted in the tests.
+  * each extension step. Match-set equality with the engine and with DuckDB is
+  * asserted in the tests.
   */
 object JoinPlanRunner {
 
-  private val attrCols = Vector("diff", "price")
+  private[repro] val attrCols = Vector("diff", "price")
 
   /** The per-element "relation": events of the element's type, columns prefixed
     * `e{i}_` so the join tree and the Catalyst reorder rule can attribute any
@@ -104,29 +104,5 @@ object JoinPlanRunner {
     val plan = branch.plan.fold(TreePlan.leftDeep, identity)
     val (_, inters) = buildTree(events, branch.positive, plan)
     inters.map { case (s, df) => (s, df.count()) }
-  }
-
-  /** DuckDB SQL equivalent over tables named t0..t{n-1} with VARCHAR columns
-    * (ts, serial, diff, price) — the [[repro.Oracle]] table convention.
-    */
-  def duckSql(positive: SimplePattern): String = {
-    val n = positive.size
-    val w = positive.window
-    def dcol(i: Int, c: String) = s"CAST(t$i.$c AS DOUBLE)"
-    val preds = positive.preds.map { p =>
-      p.op match {
-        case TsLess     => s"${dcol(p.i, "ts")} < ${dcol(p.j, "ts")}"
-        case SerialSucc => s"CAST(t${p.j}.serial AS BIGINT) = CAST(t${p.i}.serial AS BIGINT) + 1"
-        case AttrCmp(a, shift, less) =>
-          val opStr = if (less) "<" else ">"
-          s"${dcol(p.i, attrCols(a))} + ($shift) $opStr ${dcol(p.j, attrCols(a))}"
-      }
-    }
-    val windows = for (i <- 0 until n; j <- i + 1 until n)
-      yield s"ABS(${dcol(i, "ts")} - ${dcol(j, "ts")}) <= $w"
-    val where = (preds ++ windows).mkString(" AND ")
-    val cols = (0 until n).map(i => s"CAST(t$i.serial AS BIGINT) AS e${i}_serial").mkString(", ")
-    val from = (0 until n).map(i => s"t$i").mkString(", ")
-    s"SELECT $cols FROM $from" + (if (where.nonEmpty) s" WHERE $where" else "")
   }
 }

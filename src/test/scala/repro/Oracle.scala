@@ -2,6 +2,8 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import repro.core._
+import repro.spark.JoinPlanRunner.attrCols
 import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
@@ -73,5 +75,30 @@ object Oracle {
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
     } finally conn.close()
+  }
+
+  /** DuckDB SQL equivalent of a pure pattern over tables named t0..t{n-1} with
+    * VARCHAR columns (ts, serial, diff, price): the same predicates and pairwise
+    * window constraints that `JoinPlanRunner` joins on.
+    */
+  def duckSql(positive: SimplePattern): String = {
+    val n = positive.size
+    val w = positive.window
+    def dcol(i: Int, c: String) = s"CAST(t$i.$c AS DOUBLE)"
+    val preds = positive.preds.map { p =>
+      p.op match {
+        case TsLess     => s"${dcol(p.i, "ts")} < ${dcol(p.j, "ts")}"
+        case SerialSucc => s"CAST(t${p.j}.serial AS BIGINT) = CAST(t${p.i}.serial AS BIGINT) + 1"
+        case AttrCmp(a, shift, less) =>
+          val opStr = if (less) "<" else ">"
+          s"${dcol(p.i, attrCols(a))} + ($shift) $opStr ${dcol(p.j, attrCols(a))}"
+      }
+    }
+    val windows = for (i <- 0 until n; j <- i + 1 until n)
+      yield s"ABS(${dcol(i, "ts")} - ${dcol(j, "ts")}) <= $w"
+    val where = (preds ++ windows).mkString(" AND ")
+    val cols = (0 until n).map(i => s"CAST(t$i.serial AS BIGINT) AS e${i}_serial").mkString(", ")
+    val from = (0 until n).map(i => s"t$i").mkString(", ")
+    s"SELECT $cols FROM $from" + (if (where.nonEmpty) s" WHERE $where" else "")
   }
 }

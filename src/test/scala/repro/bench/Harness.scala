@@ -8,49 +8,44 @@ import repro.data._
 /** One measured (pattern, algorithm) execution. Disjunction branches are summed
   * (the composite pattern is one detection task, §5.4).
   *
+  * @param category    pattern category (T1–T4), or selection strategy (T7)
   * @param throughput  primitive events per second of engine wall time
   * @param pmCreated   partial matches / node instances created
   * @param peakLive    peak simultaneously live partial matches (memory proxy)
   * @param latencyMicros mean detection latency per match, microseconds
+  * @param kleeneTruncated Kleene candidate lists that `maxKleeneBuffer` cut
   */
 final case class RunRecord(
     category: String,
     size: Int,
-    patternId: Int,
     algo: Algo,
-    strategy: Strategy,
-    alpha: Double,
     planCost: Double,
-    genNanos: Long,
-    events: Long,
     matches: Long,
     throughput: Double,
     pmCreated: Long,
     peakLive: Long,
     latencyMicros: Double,
     capped: Boolean,
+    kleeneTruncated: Long,
 )
 
 /** The benchmark world: one synthetic NASDAQ-like stream (§7.2 substitution),
-  * measured statistics, and helpers to execute planned patterns on the engines.
+  * measured statistics, and helpers to execute planned patterns on the engine.
   *
-  * Scales are laptop-sized versions of the paper's setup (see DESIGN.md); all
-  * knobs have env overrides so `bench/test` can be dialed up or down.
+  * Scales are laptop-sized versions of the paper's setup (see DESIGN.md).
   */
 object BenchWorld {
 
-  private def envInt(k: String, d: Int) = sys.env.get(k).map(_.toInt).getOrElse(d)
-  private def envDouble(k: String, d: Double) = sys.env.get(k).map(_.toDouble).getOrElse(d)
-
-  val patternsPerCell: Int = envInt("REPRO_BENCH_PATTERNS", 5)
+  val patternsPerCell: Int = 5
   val sizes: Vector[Int] = Vector(3, 4, 5, 6, 7)
-  val pmCap: Long = envInt("REPRO_BENCH_PMCAP", 3000000).toLong
+  val pmCap: Long = 3000000L
+  val maxKleeneBuffer: Int = 14
 
   val cfg: StockConfig = StockConfig(
-    nTypes = envInt("REPRO_BENCH_TYPES", 20),
-    horizon = envDouble("REPRO_BENCH_HORIZON", 150.0),
+    nTypes = 20,
+    horizon = 150.0,
     rateMin = 1.0,
-    rateMax = envDouble("REPRO_BENCH_RATEMAX", 18.0),
+    rateMax = 18.0,
     window = 1.0,
     seed = 97,
   )
@@ -61,52 +56,39 @@ object BenchWorld {
   def world(spark: SparkSession): (Array[Event], MeasuredStatsProvider) = synchronized {
     if (worldRef == null) {
       val df = StockData.streamDF(spark, cfg).cache()
-      val rates = StockData.measuredRates(df, cfg.horizon)
-      val provider =
-        new MeasuredStatsProvider(rates, StockData.diffSamples(df), cfg.window, rates.values.sum)
-      worldRef = (StockData.collectEvents(df), provider)
+      worldRef = (StockData.collectEvents(df), StockData.provider(df, cfg))
       df.unpersist()
     }
     worldRef
   }
 
-  /** Plan `pattern` with `algo` and execute every branch on the matching engine. */
+  /** Execute every planned branch of one pattern on the engine and sum the
+    * branches into one record.
+    */
   def execute(
       events: Array[Event],
-      provider: MeasuredStatsProvider,
-      pattern: Pattern,
+      branches: Vector[PlannedBranch],
       category: String,
       size: Int,
-      patternId: Int,
       algo: Algo,
-      strategy: Strategy = AnyMatch,
-      alpha: Double = 0.0,
   ): RunRecord = {
-    val branches = Planner.plan(pattern, provider, algo, strategy, alpha)
-    val cfgEng = EngineConfig(collectMatches = false, pmCap = pmCap, maxKleeneBuffer = 14)
-    var wall = 0L; var matches = 0L; var pm = 0L; var peak = 0L; var lat = 0L; var latN = 0L
-    var capped = false
-    branches.foreach { b =>
-      val r = new TreeEngine(b, cfgEng).run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events))
-      wall += r.stats.wallNanos
-      matches += r.stats.matches
-      pm += r.stats.pmCreated
-      peak += r.stats.peakLivePm
-      lat += r.stats.latencyNanosSum
-      latN += r.stats.matches
-      capped ||= r.capped
-    }
+    val cfgEng = EngineConfig(collectMatches = false, pmCap = pmCap, maxKleeneBuffer = maxKleeneBuffer)
+    val stream = scala.collection.immutable.ArraySeq.unsafeWrapArray(events)
+    val runs = branches.map(b => new TreeEngine(b, cfgEng).run(stream))
+    val stats = runs.map(_.stats)
+    val wall = stats.map(_.wallNanos).sum
+    val matches = stats.map(_.matches).sum
+    val streamEvents = events.length.toLong * branches.size
     RunRecord(
-      category, size, patternId, algo, strategy, alpha,
+      category, size, algo,
       planCost = branches.map(_.cost).sum,
-      genNanos = branches.map(_.genNanos).sum,
-      events = events.length.toLong * branches.size,
       matches = matches,
-      throughput = if (wall == 0) 0 else events.length.toLong * branches.size * 1e9 / wall,
-      pmCreated = pm,
-      peakLive = peak,
-      latencyMicros = if (latN == 0) 0 else lat / 1e3 / latN,
-      capped = capped,
+      throughput = if (wall == 0) 0 else streamEvents * 1e9 / wall,
+      pmCreated = stats.map(_.pmCreated).sum,
+      peakLive = stats.map(_.peakLivePm).sum,
+      latencyMicros = if (matches == 0) 0 else stats.map(_.latencyNanosSum).sum / 1e3 / matches,
+      capped = runs.exists(_.capped),
+      kleeneTruncated = stats.map(_.kleeneTruncated).sum,
     )
   }
 
@@ -122,7 +104,7 @@ object BenchWorld {
       } yield {
         val pattern = PatternGen.generate(cat, size, cfg.nTypes, provider, seed = 1000L * pid + size)
         val recs = Algo.all.map(a =>
-          execute(events, provider, pattern, cat.name, size, pid, a))
+          execute(events, Planner.plan(pattern, provider, a), cat.name, size, a))
         // Detection correctness (§2.2): every un-capped plan of the same class
         // must report the same match count.
         val counts = recs.filterNot(_.capped).map(_.matches).toSet

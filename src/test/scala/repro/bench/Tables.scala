@@ -1,50 +1,58 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.cep._
 import repro.core._
 import repro.data._
 import scala.util.Random
 
 /** One computation per reproduced table (see DESIGN.md): each returns the
   * formatted table text plus the structured data the bench suites assert on.
-  * The `jobs/` spark-submit entrypoints print the same text.
   */
 object Tables {
   import BenchWorld.{fmtTable, gmean, sig}
+
+  /** One row per algorithm and one column per label: each cell is the gmean of
+    * `metric` over the runs whose `column` is that label.
+    */
+  private def gmeanTable(runs: Seq[RunRecord], algos: Seq[Algo], labels: Seq[String],
+                         column: RunRecord => String, metric: RunRecord => Double): String =
+    fmtTable("algorithm" +: labels, algos.map(a => a.name +: labels.map(l =>
+      sig(gmean(runs.filter(r => r.algo == a && column(r) == l).map(metric))))))
+
+  /** The cells whose Kleene candidate lists `maxKleeneBuffer` cut, or `none`. */
+  private def kleeneCuts(runs: Seq[RunRecord], cell: RunRecord => String): String = {
+    val cut = runs.filter(_.kleeneTruncated > 0).groupMapReduce(cell)(_.kleeneTruncated)(_ + _)
+    s"\nKleene candidate lists cut at ${BenchWorld.maxKleeneBuffer}: " +
+      (if (cut.isEmpty) "none" else cut.toSeq.sorted.map { case (c, n) => s"$c ($n)" }.mkString(", "))
+  }
+
+  private val throughputK: RunRecord => Double = _.throughput / 1e3
+  private val peakLive: RunRecord => Double = _.peakLive.toDouble.max(1.0)
+
+  /** An order-based and a tree-based table with one column per `category`. */
+  private def byCategory(runs: Seq[RunRecord], metric: RunRecord => Double,
+                         orderTitle: String, treeTitle: String): String = {
+    val cats = runs.map(_.category).distinct
+    s"\n=== $orderTitle ===\n" + gmeanTable(runs, Algo.orderBased, cats, _.category, metric) +
+      s"\n\n=== $treeTitle ===\n" + gmeanTable(runs, Algo.treeBased, cats, _.category, metric)
+  }
 
   // ---- T1 / T2 (Figs 4, 5): category × algorithm means ---------------------
 
   def t1(spark: SparkSession): (String, Vector[RunRecord]) = {
     val runs = BenchWorld.mainRuns(spark)
-    val cats = runs.map(_.category).distinct
-    def table(algos: Seq[Algo]): String =
-      fmtTable("algorithm" +: cats, algos.map { a =>
-        a.name +: cats.map(c =>
-          sig(gmean(runs.filter(r => r.algo == a && r.category == c).map(_.throughput)) / 1e3))
-      }.map(_.toSeq))
-    val text =
-      "\n=== T1 (Fig 4a): mean throughput, order-based methods [K events/s] ===\n" +
-        table(Algo.orderBased) +
-        "\n\n=== T1 (Fig 4b): mean throughput, tree-based methods [K events/s] ===\n" +
-        table(Algo.treeBased)
+    val text = byCategory(runs, throughputK,
+      "T1 (Fig 4a): mean throughput, order-based methods [K events/s]",
+      "T1 (Fig 4b): mean throughput, tree-based methods [K events/s]") +
+      kleeneCuts(runs, r => s"${r.category} ${r.algo}")
     (text, runs)
   }
 
   def t2(spark: SparkSession): (String, Vector[RunRecord]) = {
     val runs = BenchWorld.mainRuns(spark)
-    val cats = runs.map(_.category).distinct
-    def table(algos: Seq[Algo]): String =
-      fmtTable("algorithm" +: cats, algos.map { a =>
-        a.name +: cats.map(c =>
-          sig(gmean(runs.filter(r => r.algo == a && r.category == c)
-            .map(_.peakLive.toDouble.max(1.0)))))
-      }.map(_.toSeq))
-    val text =
-      "\n=== T2 (Fig 5a): peak live partial matches, order-based methods ===\n" +
-        table(Algo.orderBased) +
-        "\n\n=== T2 (Fig 5b): peak live instances, tree-based methods ===\n" +
-        table(Algo.treeBased)
+    val text = byCategory(runs, peakLive,
+      "T2 (Fig 5a): peak live partial matches, order-based methods",
+      "T2 (Fig 5b): peak live instances, tree-based methods")
     (text, runs)
   }
 
@@ -52,22 +60,13 @@ object Tables {
 
   def t3(spark: SparkSession): (String, Vector[RunRecord]) = {
     val runs = BenchWorld.mainRuns(spark)
-    val cats = runs.map(_.category).distinct
-    val sizes = BenchWorld.sizes
+    val sizes = BenchWorld.sizes.map(s => s"n=$s")
     val sections = for {
-      cat <- cats
-      (metric, of) <- Seq[(String, RunRecord => Double)](
-        ("throughput [K events/s]", _.throughput / 1e3),
-        ("peak live PMs", _.peakLive.toDouble.max(1.0)))
-    } yield {
-      val rows = Algo.all.map { a =>
-        a.name +: sizes.map(s =>
-          sig(gmean(runs.filter(r => r.algo == a && r.category == cat && r.size == s).map(of))))
-      }
-      s"\n=== T3: $metric, category '$cat' ===\n" +
-        fmtTable("algorithm" +: sizes.map(s => s"n=$s"), rows.map(_.toSeq))
-    }
-    (sections.mkString("\n"), runs)
+      cat <- runs.map(_.category).distinct
+      (metric, of) <- Seq(("throughput [K events/s]", throughputK), ("peak live PMs", peakLive))
+    } yield s"\n=== T3: $metric, category '$cat' ===\n" +
+      gmeanTable(runs.filter(_.category == cat), Algo.all, sizes, r => s"n=${r.size}", of)
+    (sections.mkString("\n") + kleeneCuts(runs, r => s"${r.category} n=${r.size} ${r.algo}"), runs)
   }
 
   // ---- T4 (Fig 16): cost model fit ------------------------------------------
@@ -174,7 +173,6 @@ object Tables {
 
   def t6(spark: SparkSession, perSize: Int = 2): (String, Seq[LatPoint]) = {
     val (events, provider) = BenchWorld.world(spark)
-    val cfgEng = EngineConfig(collectMatches = false, pmCap = BenchWorld.pmCap)
     val pts = for {
       size <- BenchWorld.sizes
       pid <- 0 until perSize
@@ -188,12 +186,9 @@ object Tables {
       val latScale = base.stats.rates.sum * base.stats.window
       val alphaEff = alpha * base.cost / math.max(latScale, 1e-9)
       val branch = Planner.planSimple(sp, provider, algo, AnyMatch, alphaEff)
-      val r = new TreeEngine(branch, cfgEng).run(scala.collection.immutable.ArraySeq.unsafeWrapArray(events))
+      val r = BenchWorld.execute(events, Vector(branch), SequenceCat.name, size, algo)
       val cm = branch.costModel
-      LatPoint(algo, alpha,
-        if (r.stats.wallNanos == 0) 0 else events.length * 1e9 / r.stats.wallNanos,
-        if (r.stats.matches == 0) 0 else r.stats.latencyNanosSum / 1e3 / r.stats.matches,
-        branch.plan.fold(cm.orderLatency, cm.treeLatency))
+      LatPoint(algo, alpha, r.throughput, r.latencyMicros, branch.plan.fold(cm.orderLatency, cm.treeLatency))
     }
     val rows = for (a <- Algo.jqpgAlgos; al <- t6Alphas) yield {
       val sel = pts.filter(p => p.algo == a && p.alpha == al)
@@ -228,18 +223,13 @@ object Tables {
       // restores that regime at our scale so the strategies' pruning actually
       // shows (skip-till-any combinatorics vs consumption-based pruning).
       val pattern = Pattern(p0.root, p0.preds, p0.window * 2.0)
-      (sname, BenchWorld.execute(events, provider, pattern, sname, size, pid, algo, strat))
+      (sname, BenchWorld.execute(events, Planner.plan(pattern, provider, algo, strat), sname, size, algo))
     }
-    def tput(sname: String, a: Algo): Double =
-      gmean(runs.filter(r => r._1 == sname && r._2.algo == a).map(_._2.throughput))
-    val header = "algorithm" +: t7Strategies.map(_._1)
-    val text =
-      "\n=== T7 (Fig 19a): throughput [K events/s], order-based methods ===\n" +
-        fmtTable(header, Algo.orderBased.map(a =>
-          a.name +: t7Strategies.map(s => sig(tput(s._1, a) / 1e3)))) +
-        "\n\n=== T7 (Fig 19b): throughput [K events/s], tree-based methods ===\n" +
-        fmtTable(header, Algo.treeBased.map(a =>
-          a.name +: t7Strategies.map(s => sig(tput(s._1, a) / 1e3))))
+    val records = runs.map(_._2)
+    val text = byCategory(records, throughputK,
+      "T7 (Fig 19a): throughput [K events/s], order-based methods",
+      "T7 (Fig 19b): throughput [K events/s], tree-based methods") +
+      kleeneCuts(records, r => s"${r.category} n=${r.size} ${r.algo}")
     (text, runs)
   }
 }

@@ -8,10 +8,7 @@ class PatternGenSpec extends SparkSpec {
 
   private lazy val cfg = StockConfig(nTypes = 10, horizon = 60.0, rateMin = 1.0, rateMax = 8.0, seed = 21)
   private lazy val df = StockData.streamDF(spark, cfg).cache()
-  private lazy val provider = {
-    val rates = StockData.measuredRates(df, cfg.horizon)
-    new MeasuredStatsProvider(rates, StockData.diffSamples(df), cfg.window, rates.values.sum)
-  }
+  private lazy val provider = StockData.provider(df, cfg)
 
   private def gen(cat: Category, size: Int, seed: Long = 5) =
     PatternGen.generate(cat, size, cfg.nTypes, provider, seed)

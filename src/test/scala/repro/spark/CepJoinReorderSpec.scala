@@ -11,10 +11,7 @@ class CepJoinReorderSpec extends SparkSpec {
 
   private lazy val cfg = StockConfig(nTypes = 6, horizon = 40.0, rateMin = 1.0, rateMax = 12.0, seed = 61)
   private lazy val df = StockData.streamDF(spark, cfg).cache()
-  private lazy val provider = {
-    val rates = StockData.measuredRates(df, cfg.horizon)
-    new MeasuredStatsProvider(rates, StockData.diffSamples(df), cfg.window, rates.values.sum)
-  }
+  private lazy val provider = StockData.provider(df, cfg)
 
   /** Left-to-right element order of the join leaves in an optimized plan. */
   private def leafOrder(plan: LogicalPlan): Vector[Int] = {
@@ -74,8 +71,33 @@ class CepJoinReorderSpec extends SparkSpec {
           s"t$i" -> df.filter(org.apache.spark.sql.functions.col("typeId") === branch.positive.elems(i).typeId)
             .select("ts", "serial", "diff", "price")
         }
-        Oracle.assertEquivalent(out, JoinPlanRunner.duckSql(branch.positive), tables: _*)
+        Oracle.assertEquivalent(out, Oracle.duckSql(branch.positive), tables: _*)
       }
+    }
+  }
+
+  test("concurrent queries each plan with their own registered stats") {
+    def sp(types: Vector[Int]) = SimplePattern(SEQ, types.map(t => Elem(t, s"T$t")),
+      Vector(Pred(0, 3, AttrCmp(0, 1.0, less = true))), 1.0)
+    val branches = Vector(Vector(0, 1, 2, 3), Vector(5, 4, 2, 1))
+      .map(types => Planner.planSimple(sp(types), provider, TRIVIAL))
+    val expected = branches.map(b => OrderAlgos.dpLeftDeep(b.costModel).order)
+    assert(expected.distinct.size == 2 && !expected.contains(Vector(0, 1, 2, 3)),
+      s"the two patterns should have distinct, non-trivial DP-LD orders: $expected")
+
+    // Both threads hold their stats before either one optimizes.
+    val bothRegistered = new java.util.concurrent.CyclicBarrier(2)
+    withRule {
+      val orders = new Array[Vector[Int]](2)
+      val threads = branches.indices.map { k =>
+        new Thread(() => CepStatsRegistry.withStats(branches(k).stats) {
+          bothRegistered.await()
+          orders(k) = leafOrder(JoinPlanRunner.run(df, branches(k)).queryExecution.optimizedPlan)
+        })
+      }
+      threads.foreach(_.start())
+      threads.foreach(_.join())
+      assert(orders.toVector == expected)
     }
   }
 

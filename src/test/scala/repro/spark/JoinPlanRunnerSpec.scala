@@ -16,10 +16,7 @@ class JoinPlanRunnerSpec extends SparkSpec {
   private lazy val cfg = StockConfig(nTypes = 5, horizon = 40.0, rateMin = 1.0, rateMax = 6.0, seed = 31)
   private lazy val df = StockData.streamDF(spark, cfg).cache()
   private lazy val events = StockData.collectEvents(df)
-  private lazy val provider = {
-    val rates = StockData.measuredRates(df, cfg.horizon)
-    new MeasuredStatsProvider(rates, StockData.diffSamples(df), cfg.window, rates.values.sum)
-  }
+  private lazy val provider = StockData.provider(df, cfg)
 
   private def seqPattern(types: Vector[Int], preds: Vector[Pred], w: Double = 1.0) =
     SimplePattern(SEQ, types.map(t => Elem(t, s"T$t")), preds, w)
@@ -56,7 +53,7 @@ class JoinPlanRunnerSpec extends SparkSpec {
     val sp = seqPattern(Vector(0, 1, 2), Vector(Pred(0, 1, AttrCmp(0, 0.2, less = true))))
     val branch = Planner.planSimple(sp, provider, GREEDY)
     val out = JoinPlanRunner.run(df, branch)
-    Oracle.assertEquivalent(out, JoinPlanRunner.duckSql(branch.positive), rawTables(branch.positive): _*)
+    Oracle.assertEquivalent(out, Oracle.duckSql(branch.positive), rawTables(branch.positive): _*)
   }
 
   test("DuckDB oracle: conjunction with a '>' predicate is equivalent") {
@@ -64,7 +61,7 @@ class JoinPlanRunnerSpec extends SparkSpec {
       Vector(Pred(0, 2, AttrCmp(0, -0.1, less = false))), 0.8)
     val branch = Planner.planSimple(sp, provider, ZSTREAM)
     val out = JoinPlanRunner.run(df, branch)
-    Oracle.assertEquivalent(out, JoinPlanRunner.duckSql(branch.positive), rawTables(branch.positive): _*)
+    Oracle.assertEquivalent(out, Oracle.duckSql(branch.positive), rawTables(branch.positive): _*)
   }
 
   test("all plans produce the same final cardinality; intermediates differ by plan") {

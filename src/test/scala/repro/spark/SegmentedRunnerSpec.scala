@@ -11,10 +11,7 @@ class SegmentedRunnerSpec extends SparkSpec {
   private lazy val cfg = StockConfig(nTypes = 5, horizon = 60.0, rateMin = 1.0, rateMax = 6.0, seed = 41)
   private lazy val df = StockData.streamDF(spark, cfg).cache()
   private lazy val events = StockData.collectEvents(df)
-  private lazy val provider = {
-    val rates = StockData.measuredRates(df, cfg.horizon)
-    new MeasuredStatsProvider(rates, StockData.diffSamples(df), cfg.window, rates.values.sum)
-  }
+  private lazy val provider = StockData.provider(df, cfg)
 
   test("every event lands in at most two segments and covers its window range") {
     val segged = SegmentedRunner.withSegments(df, segLen = 2.0, window = 1.0)

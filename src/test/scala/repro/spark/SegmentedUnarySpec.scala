@@ -14,10 +14,7 @@ class SegmentedUnarySpec extends SparkSpec {
   private lazy val cfg = StockConfig(nTypes = 5, horizon = 60.0, rateMin = 1.0, rateMax = 5.0, seed = 71)
   private lazy val df = StockData.streamDF(spark, cfg).cache()
   private lazy val events = StockData.collectEvents(df)
-  private lazy val provider = {
-    val rates = StockData.measuredRates(df, cfg.horizon)
-    new MeasuredStatsProvider(rates, StockData.diffSamples(df), cfg.window, rates.values.sum)
-  }
+  private lazy val provider = StockData.provider(df, cfg)
 
   test("segmented negation run equals the driver-side run") {
     val sp = SimplePattern(SEQ,

@@ -12,10 +12,7 @@ class StreamingRunnerSpec extends SparkSpec {
 
   private lazy val cfg = StockConfig(nTypes = 4, horizon = 40.0, rateMin = 1.0, rateMax = 4.0, seed = 51)
   private lazy val df = StockData.streamDF(spark, cfg).cache()
-  private lazy val provider = {
-    val rates = StockData.measuredRates(df, cfg.horizon)
-    new MeasuredStatsProvider(rates, StockData.diffSamples(df), cfg.window, rates.values.sum)
-  }
+  private lazy val provider = StockData.provider(df, cfg)
 
   private def runStreaming(branch: PlannedBranch, name: String): Set[Vector[Long]] = {
     implicit val sql: org.apache.spark.sql.SQLContext = spark.sqlContext
