@@ -54,6 +54,46 @@ private[cep] final class PmList {
   }
 }
 
+/** The buffered events of one run in arrival order, as parallel primitive
+  * arrays of timestamp, buffer slot and serial: eviction reads the head
+  * without following an `Event` pointer. A ring whose capacity is a power of
+  * two; it doubles when full and unwraps as it does.
+  */
+private[cep] final class ArrivalRing {
+  private var ts = new Array[Double](16)
+  private var slots = new Array[Int](16)
+  private var serials = new Array[Long](16)
+  private var head = 0
+  private var count = 0
+
+  def size: Int = count
+  def headTs: Double = ts(head)
+  def headSlot: Int = slots(head)
+  def headSerial: Long = serials(head)
+
+  def removeHead(): Unit = { head = (head + 1) & (ts.length - 1); count -= 1 }
+
+  def append(t: Double, slot: Int, serial: Long): Unit = {
+    if (count == ts.length) grow()
+    val i = (head + count) & (ts.length - 1)
+    ts(i) = t; slots(i) = slot; serials(i) = serial
+    count += 1
+  }
+
+  private def grow(): Unit = {
+    val tail = ts.length - head // entries from the head to the array's end
+    def unwrap[A](a: Array[A], b: Array[A]): Array[A] = {
+      System.arraycopy(a, head, b, 0, tail)
+      System.arraycopy(a, 0, b, tail, head)
+      b
+    }
+    ts = unwrap(ts, new Array[Double](2 * count))
+    slots = unwrap(slots, new Array[Int](2 * count))
+    serials = unwrap(serials, new Array[Long](2 * count))
+    head = 0
+  }
+}
+
 /** A set of event serials without boxing: open addressing with linear
   * probing, deletion by backward shift. Holds the consumed serials of one run,
   * which are all within the window.

@@ -44,7 +44,12 @@ final case class CepMatch(byElem: Vector[Vector[Long]], minTs: Double)
   * @param peakBuffered  peak number of buffered primitive events
   * @param wallNanos     total processing wall time
   * @param latencyNanosSum sum over matches of (emission time − start of
-  *                        processing of the completing event), §6.1 definition
+  *                        processing of the completing event), §6.1 definition.
+  *                        The start is read after eviction and buffering, and
+  *                        only for an event of an element that can complete a
+  *                        match: one that no `TsLess` or `SerialSucc` predicate
+  *                        orders before another element (of a sequence, its
+  *                        temporally last element)
   * @param kleeneTruncated Kleene candidate lists that `maxKleeneBuffer` cut
   */
 final case class RunStats(

@@ -20,14 +20,16 @@ import scala.util.control.ControlThrowable
   * against the consumed set, and a Kleene leaf filters compatible events before
   * it enumerates their subsets (§5.2).
   *
-  * Per event: the input-order guard, the event counter and clock, the
+  * Per event: the input-order guard, the event counter and stream time, the
   * 1024-event sweep check and a type dispatch through an array indexed by
   * `typeId`. An event of a type the pattern does not use stops there. An event
   * of a pattern type first evicts the buffered events that left the window
-  * (one arrival-ordered FIFO drives this, and it also prunes the consumed
-  * set), is buffered and, for a positive element, processed. Eviction may wait
-  * for a pattern event: the cutoff only grows, and the buffers are read only
-  * after such an event.
+  * (an [[ArrivalRing]] of their timestamps, buffer slots and serials drives
+  * this, and it also prunes the consumed set), is buffered and, for a
+  * positive element, processed. Eviction may wait for a pattern event: the
+  * cutoff only grows, and the buffers are read only after such an event. The
+  * wall clock is read before processing only at an element that can complete
+  * a match ([[readsClock]]), which is where every match's latency starts.
   *
   * Partial matches live in `lists`, one per plan node. `liveCount` is the
   * number of non-dead partial matches held there: a scan drops expired and
@@ -112,13 +114,24 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     types.zipWithIndex.foreach { case (t, s) => a(t) = s }
     a
   }
+  /** Per positive element: whether an arrival there can complete a match, so
+    * that it reads the clock for `latencyNanosSum`. An element that a `TsLess`
+    * or `SerialSucc` predicate orders before another cannot: the other
+    * element's event arrives later. Of a sequence only its temporally last
+    * element is left; every element of a conjunction reads the clock.
+    */
+  private val readsClock: Array[Boolean] = {
+    val a = Array.fill(n)(true)
+    positive.preds.foreach { case Pred(i, _, TsLess | SerialSucc) => a(i) = false; case _ => () }
+    a
+  }
   private val negDeps: Array[Array[Int]] = branch.negs.map(_.dependsOn.toArray).toArray
   private val negPreds: Array[Array[NegPred]] = branch.negs.map(_.preds.toArray).toArray
 
   // --- run state ------------------------------------------------------------
   /** The in-window events of each slot of [[slotOfType]]. */
   private val buffers = Array.fill(n + branch.negs.size)(mutable.ArrayDeque.empty[Event])
-  private val fifo = mutable.ArrayDeque.empty[Event]
+  private val arrivals = new ArrivalRing
   private val lists: Array[PmList] = Array.fill(nodes.length)(new PmList)
   private val consumed = new SerialSet
   private var now: Double = Double.NegativeInfinity
@@ -166,10 +179,10 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     if (slot >= 0) {
       evict()
       buffers(slot).append(e)
-      fifo.append(e)
-      if (fifo.length > peakBuffered) peakBuffered = fifo.length
+      arrivals.append(e.ts, slot, e.serial)
+      if (arrivals.size > peakBuffered) peakBuffered = arrivals.size
       if (slot < n) {
-        tEventStart = System.nanoTime()
+        if (readsClock(slot)) tEventStart = System.nanoTime()
         onEvent(slot, e)
       }
     }
@@ -182,16 +195,16 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   }
 
   /** Drop buffered events older than the window, and their consumed serials.
-    * Every buffer is a subsequence of the FIFO, so the FIFO's head is also the
-    * head of its own buffer.
+    * Every buffer is a subsequence of the arrivals, so the head of the
+    * arrivals is also the head of its own buffer.
     */
   private def evict(): Unit = {
     val cutoff = now - W
-    while (fifo.nonEmpty && fifo.head.ts < cutoff) {
-      val ev = fifo.removeHead()
-      val slot = slotOfType(ev.typeId)
+    while (arrivals.size > 0 && arrivals.headTs < cutoff) {
+      val slot = arrivals.headSlot
       buffers(slot).removeHead()
-      if (consuming && slot < n) consumed -= ev.serial
+      if (consuming && slot < n) consumed -= arrivals.headSerial
+      arrivals.removeHead()
     }
   }
 
@@ -570,6 +583,8 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   private[cep] def heldLive: Long =
     lists.iterator.map(list => (0 until list.size).count(!list(_).dead).toLong).sum
   private[cep] def consumedSize: Int = consumed.size
+  /** Whether an arrival at positive element `elem` reads the clock. */
+  private[cep] def readsClockAt(elem: Int): Boolean = readsClock(elem)
   /** Held non-dead partial matches that hold a consumed event. */
   private[cep] def heldConsumed: Long =
     lists.iterator.map(list => (0 until list.size).count(i => !list(i).dead && holdsConsumed(list(i).bound)).toLong).sum

@@ -41,6 +41,14 @@ object SegmentedRunner {
     )
   }
 
+  /** The engine's input order, (ts, serial), with timestamps in the total
+    * order of `java.lang.Double.compare`; compares without allocating.
+    */
+  private val byTsSerial: java.util.Comparator[Event] = (a: Event, b: Event) => {
+    val c = java.lang.Double.compare(a.ts, b.ts)
+    if (c != 0) c else java.lang.Long.compare(a.serial, b.serial)
+  }
+
   /** Run the branch's engine per segment and return the exact global match set. */
   def run(
       spark: SparkSession,
@@ -65,7 +73,7 @@ object SegmentedRunner {
         val evs = rows
           .map { case (_, t, ts, serial, diff, price) => Event(t, ts, serial, Array(diff, price)) }
           .toArray
-          .sortBy(e => (e.ts, e.serial))
+        java.util.Arrays.sort(evs, byTsSerial)
         new TreeEngine(branch, config)
           .run(scala.collection.immutable.ArraySeq.unsafeWrapArray(evs))
           .matches

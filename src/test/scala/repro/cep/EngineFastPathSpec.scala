@@ -5,9 +5,9 @@ import repro.core._
 import EngineTestKit._
 import scala.util.Random
 
-/** The shared per-event path: type dispatch, deferred eviction, release of
-  * expired partial matches during scans, consumed-set pruning and the
-  * input-order guard.
+/** The shared per-event path: type dispatch, deferred eviction from the
+  * arrival ring, release of expired partial matches during scans, consumed-set
+  * pruning, the clock rule and the input-order guard.
   */
 class EngineFastPathSpec extends AnyFunSuite {
 
@@ -97,6 +97,91 @@ class EngineFastPathSpec extends AnyFunSuite {
     // every matched event (two thirds of the stream).
     for ((size, matches) <- consumedAfter(2000) ++ consumedAfter(20000))
       assert(size <= 25, s"consumed set holds $size serials after $matches matches")
+  }
+
+  test("every match's last event belongs to an element that reads the clock, every strategy") {
+    val rnd = new Random(56)
+    val matchesBy = scala.collection.mutable.Map.empty[(String, Strategy), Long].withDefaultValue(0L)
+    for (iter <- 1 to 12) {
+      val n = 3 + rnd.nextInt(2)
+      val (kind, sp) = iter % 3 match {
+        case 0 => ("SEQ with negation", randomPattern(rnd, n, withNeg = true, withKl = false))
+        case 1 => ("SEQ with Kleene", randomPattern(rnd, n, withNeg = false, withKl = true).copy(op = SEQ))
+        case _ => ("AND", randomPattern(rnd, n, withNeg = false, withKl = rnd.nextBoolean()).copy(op = AND))
+      }
+      // About three events of each type per window.
+      val s = randomStream(n + 1, 200, 200 * sp.window / (3.0 * (n + 1)), rnd)
+      val posN = sp.positives.size
+      val branches = (0 until posN).toVector.permutations.map(o => orderBranch(sp, o, _: Strategy)) ++
+        PlanOracles.enumerate((0 until posN).toVector).map(t => treeBranch(sp, t, _: Strategy))
+      for (branchAt <- branches; strategy <- Seq[Strategy](AnyMatch, NextMatch, Contiguity)) {
+        val branch = branchAt(strategy)
+        val engine = new TreeEngine(branch)
+        val clocked = (0 until posN).filter(engine.readsClockAt)
+        if (sp.op == AND) assert(clocked == (0 until posN), s"$kind sp=$sp")
+        else assert(clocked == Planner.lastTemporalElem(branch.positive).toSeq, s"$kind sp=$sp")
+        val r = engine.run(s)
+        for (m <- r.matches) {
+          val last = m.byElem.indices.maxBy(m.byElem(_).max)
+          assert(engine.readsClockAt(last), s"$kind $strategy plan=${branch.plan} match=${m.byElem} sp=$sp")
+        }
+        matchesBy((kind, strategy)) += r.stats.matches
+      }
+    }
+    for (kind <- Seq("SEQ with negation", "SEQ with Kleene", "AND"); strategy <- Seq(AnyMatch, NextMatch, Contiguity))
+      assert(matchesBy((kind, strategy)) > 0, s"$kind $strategy: the streams should hold matches")
+  }
+
+  test("skip-till-next: the arrival ring grows while wrapped; peak buffered and consumed set are exact") {
+    // SEQ(T0, NOT T1, T2) with W = 1, plus foreign events. The density of
+    // pattern events per window doubles every four windows from about 10 to
+    // about 320, then falls back to 10: the ring (16 entries at first) wraps
+    // before it doubles five times, and drains again at the end.
+    val sp = SimplePattern(SEQ, elems(3, negAt = Set(1)), Vector.empty, 1.0)
+    val rnd = new Random(57)
+    val phases = (0 to 5).map(k => 10 << k) :+ 10
+    val s = phases.zipWithIndex.flatMap { case (perWindow, p) =>
+      Seq.fill(4 * perWindow * 10 / 9) {
+        val r = rnd.nextDouble()
+        val t = if (r < 0.45) 0 else if (r < 0.5) 1 else if (r < 0.9) 2 else 7
+        (t, 4.0 * (p + rnd.nextDouble()))
+      }
+    }.sortBy(_._2).zipWithIndex.map { case ((t, ts), serial) => ev(t, ts, serial.toLong) }
+    val pattern = s.filter(_.typeId != 7)
+    // Eviction runs at pattern events, so the buffered count peaks at one.
+    val bruteForcePeak = pattern.indices.map(p => (0 to p).count(q => pattern(q).ts >= pattern(p).ts - 1.0)).max
+    assert(bruteForcePeak > 256)
+    val lastCutoff = pattern.last.ts - 1.0
+    val tsOf = s.map(e => e.serial -> e.ts).toMap
+    val branches = Seq(orderBranch(sp, Vector(0, 1), NextMatch), treeBranch(sp, NodePlan(LeafPlan(1), LeafPlan(0)), NextMatch))
+    for (branch <- branches) {
+      val engine = new TreeEngine(branch)
+      val r = engine.run(s)
+      assert(r.stats.peakBuffered == bruteForcePeak, s"plan=${branch.plan}")
+      assert(r.stats.matches > 100, s"plan=${branch.plan}")
+      // Every matched event is consumed; the set keeps the in-window ones.
+      val inWindow = r.matches.flatMap(_.byElem.flatten).filter(tsOf(_) >= lastCutoff).toSet
+      assert(engine.consumedSize == inWindow.size, s"plan=${branch.plan}")
+      assert(engine.consumedSize <= 2 * phases.last, s"plan=${branch.plan}")
+    }
+  }
+
+  test("the arrival ring agrees with a reference queue under random operations") {
+    val rnd = new Random(58)
+    val ring = new ArrivalRing
+    val ref = scala.collection.mutable.Queue.empty[(Double, Int, Long)]
+    for (step <- 1 to 20000) {
+      // Drift between filling and draining, so the ring grows while wrapped.
+      val appendShare = if ((step / 2000) % 2 == 0) 0.6 else 0.45
+      if (ref.isEmpty || rnd.nextDouble() < appendShare) {
+        val x = (rnd.nextDouble(), rnd.nextInt(8), rnd.nextLong())
+        ring.append(x._1, x._2, x._3); ref.enqueue(x)
+      } else {
+        assert((ring.headTs, ring.headSlot, ring.headSerial) == ref.head, s"step $step")
+        ring.removeHead(); ref.dequeue()
+      }
+      assert(ring.size == ref.size)
+    }
   }
 
   /** Streams that break the (ts, serial) order at their last event. */
