@@ -81,15 +81,74 @@ private[cep] final class ArrivalRing {
   }
 
   private def grow(): Unit = {
-    val tail = ts.length - head // entries from the head to the array's end
-    def unwrap[A](a: Array[A], b: Array[A]): Array[A] = {
-      System.arraycopy(a, head, b, 0, tail)
-      System.arraycopy(a, 0, b, tail, head)
-      b
+    ts = Ring.unwrap(ts, head, new Array[Double](2 * count))
+    slots = Ring.unwrap(slots, head, new Array[Int](2 * count))
+    serials = Ring.unwrap(serials, head, new Array[Long](2 * count))
+    head = 0
+  }
+}
+
+private[cep] object Ring {
+  /** Copy full ring `a` whose oldest entry is at `head` into `b`, oldest
+    * first, and return `b`.
+    */
+  def unwrap[A](a: Array[A], head: Int, b: Array[A]): Array[A] = {
+    System.arraycopy(a, head, b, 0, a.length - head)
+    System.arraycopy(a, 0, b, a.length - head, head)
+    b
+  }
+}
+
+/** The in-window events of one buffer slot in arrival order, hence in
+  * (ts, serial) order, with their timestamps in a parallel primitive array:
+  * [[firstAtOrAfter]] finds the ends of a timestamp range by binary search.
+  * A ring whose capacity is a power of two; it doubles when full and unwraps
+  * as it does. Index `i` counts from the oldest event.
+  */
+private[cep] final class EventRing {
+  private var times = new Array[Double](16)
+  private var events = new Array[Event](16)
+  private var head = 0
+  private var count = 0
+
+  def size: Int = count
+  def apply(i: Int): Event = events((head + i) & (events.length - 1))
+  def ts(i: Int): Double = times((head + i) & (times.length - 1))
+
+  def append(e: Event): Unit = {
+    if (count == times.length) grow()
+    val i = (head + count) & (times.length - 1)
+    times(i) = e.ts; events(i) = e
+    count += 1
+  }
+
+  def removeHead(): Unit = {
+    events(head) = null
+    head = (head + 1) & (times.length - 1)
+    count -= 1
+  }
+
+  /** The index of the first event with a timestamp at or after `t`, or
+    * [[size]] when there is none. A range open at either end costs no search.
+    */
+  def firstAtOrAfter(t: Double): Int = {
+    if (count == 0 || times(head) >= t) return 0
+    if (ts(count - 1) < t) return count
+    var lo = 0 // ts(lo) < t
+    var hi = count - 1 // ts(hi) >= t
+    while (hi - lo > 1) {
+      val mid = (lo + hi) >>> 1
+      if (ts(mid) < t) lo = mid else hi = mid
     }
-    ts = unwrap(ts, new Array[Double](2 * count))
-    slots = unwrap(slots, new Array[Int](2 * count))
-    serials = unwrap(serials, new Array[Long](2 * count))
+    hi
+  }
+
+  /** The index of the first event with a timestamp after `t`, or [[size]]. */
+  def firstAfter(t: Double): Int = firstAtOrAfter(Math.nextUp(t))
+
+  private def grow(): Unit = {
+    times = Ring.unwrap(times, head, new Array[Double](2 * count))
+    events = Ring.unwrap(events, head, new Array[Event](2 * count))
     head = 0
   }
 }

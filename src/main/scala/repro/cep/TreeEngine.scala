@@ -13,7 +13,15 @@ import scala.util.control.ControlThrowable
   * left leaf of a leaf–leaf pair, or the whole plan. Every other leaf is read
   * in place from its event buffer, as the lazy NFA of §2.2 reads its later
   * states: an arriving event binds to the live instances of its sibling, and a
-  * new sibling instance binds the buffered events. Instances combine
+  * new sibling instance binds the buffered events. A buffer is an
+  * [[EventRing]] in (ts, serial) order, so, as in ZStream, the new instance
+  * reads only the timestamps that `TsLess` and `SerialSucc` predicates allow:
+  * from the latest event of a sibling-subtree element ordered before the
+  * leaf's element to the earliest of one ordered after it, both ends included
+  * ([[compatible]] decides ties). A negation check reads its buffer the same
+  * way. An arriving event is the latest, so at a leaf whose element must
+  * precede an element of its sibling subtree it binds nothing: its scan only
+  * releases expired and dead instances. Instances combine
   * recursively with the instances of their sibling subtree, when the later of
   * the two is created, so every cross combination is produced exactly once;
   * instances reaching the root are full matches. A candidate event is checked
@@ -50,6 +58,12 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   private val W: Double = positive.window
   private val consuming: Boolean = branch.strategy != AnyMatch
 
+  /** The `TsLess` and `SerialSucc` predicates: each orders the event of its
+    * `i` element at or before the event of its `j` element (serials increase
+    * with timestamps).
+    */
+  private val orderPreds: Vector[Pred] = positive.preds.filter(p => p.op == TsLess || p.op == SerialSucc)
+
   // --- static tree wiring -------------------------------------------------
   // Node ids: 0..nNodes-1 in pre-order; node 0 is the root. For each node we
   // precompute its element mask, parent, sibling, and the cross predicates
@@ -62,28 +76,40 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
       leafElem: Int,          // -1 for internal
       kleene: Boolean,        // Kleene leaf
       inPlace: Boolean,       // leaf read from its event buffer
+      before: Array[Int],     // leaf: sibling-subtree elements ordered before it
+      after: Array[Int],      // leaf: sibling-subtree elements ordered after it
       crossPreds: Array[Pred],// preds spanning left/right children
       negSpecs: Array[Int],   // negation specs triggered at this node
   )
   private val nodes: Array[NodeInfo] = {
     val buf = mutable.ArrayBuffer.empty[NodeInfo]
+    // a leaf's elements of `sibMask` that an ordering predicate puts before or after it
+    def ordered(leaf: NodeInfo, sibMask: Int): NodeInfo = {
+      val e = leaf.leafElem
+      def in(x: Int) = (sibMask & (1 << x)) != 0
+      leaf.copy(
+        before = orderPreds.collect { case Pred(i, `e`, _) if in(i) => i }.distinct.toArray,
+        after = orderPreds.collect { case Pred(`e`, j, _) if in(j) => j }.distinct.toArray)
+    }
     def build(t: TreePlan, parent: Int, inPlace: Boolean): Int = {
       val id = buf.size
       buf += null
       t match {
         case LeafPlan(e) =>
-          buf(id) = NodeInfo(1 << e, parent, -1, e, positive.elems(e).kleene, inPlace, Array.empty, Array.empty)
+          buf(id) = NodeInfo(1 << e, parent, -1, e, positive.elems(e).kleene, inPlace,
+            Array.empty, Array.empty, Array.empty, Array.empty)
         case NodePlan(l, r) =>
           // only the left leaf of a leaf–leaf pair creates instances
           val li = build(l, id, inPlace = !r.isInstanceOf[LeafPlan])
           val ri = build(r, id, inPlace = true)
-          buf(li) = buf(li).copy(sibling = ri)
-          buf(ri) = buf(ri).copy(sibling = li)
+          buf(li) = ordered(buf(li).copy(sibling = ri), r.mask)
+          buf(ri) = ordered(buf(ri).copy(sibling = li), l.mask)
           val cross = positive.preds.filter { p =>
             val bi = 1 << p.i; val bj = 1 << p.j
             ((l.mask & bi) != 0 && (r.mask & bj) != 0) || ((l.mask & bj) != 0 && (r.mask & bi) != 0)
           }.toArray
-          buf(id) = NodeInfo(l.mask | r.mask, parent, -1, -1, false, false, cross, Array.empty)
+          buf(id) = NodeInfo(l.mask | r.mask, parent, -1, -1, false, false,
+            Array.empty, Array.empty, cross, Array.empty)
       }
       id
     }
@@ -122,15 +148,23 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     */
   private val readsClock: Array[Boolean] = {
     val a = Array.fill(n)(true)
-    positive.preds.foreach { case Pred(i, _, TsLess | SerialSucc) => a(i) = false; case _ => () }
+    orderPreds.foreach(p => a(p.i) = false)
     a
   }
   private val negDeps: Array[Array[Int]] = branch.negs.map(_.dependsOn.toArray).toArray
   private val negPreds: Array[Array[NegPred]] = branch.negs.map(_.preds.toArray).toArray
+  /** Per negation spec: the positive elements an ordering predicate puts
+    * before (`negBefore`) or after (`negAfter`) the negated event.
+    */
+  private def negOrdered(negOnLeft: Boolean): Array[Array[Int]] =
+    branch.negs.map(_.preds.collect { case NegPred(pos, TsLess | SerialSucc, `negOnLeft`) => pos }
+      .distinct.toArray).toArray
+  private val negBefore: Array[Array[Int]] = negOrdered(negOnLeft = false)
+  private val negAfter: Array[Array[Int]] = negOrdered(negOnLeft = true)
 
   // --- run state ------------------------------------------------------------
   /** The in-window events of each slot of [[slotOfType]]. */
-  private val buffers = Array.fill(n + branch.negs.size)(mutable.ArrayDeque.empty[Event])
+  private val buffers = Array.fill(n + branch.negs.size)(new EventRing)
   private val arrivals = new ArrivalRing
   private val lists: Array[PmList] = Array.fill(nodes.length)(new PmList)
   private val consumed = new SerialSet
@@ -211,7 +245,9 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   /** Process an arriving event of positive element `elem`. */
   private def onEvent(elem: Int, e: Event): Unit = {
     val leaf = nodes(leafOfElem(elem))
-    if (leaf.inPlace) scan(leaf.sibling, null, e)
+    // An event that must precede an element of the sibling binds nothing: it
+    // is the latest event. The scan only releases expired and dead instances.
+    if (leaf.inPlace) scan(leaf.sibling, null, if (leaf.after.isEmpty) e else null)
     // Subset semantics at a Kleene leaf: every subset of recent same-type
     // events containing `e` forms a leaf instance (§5.2).
     else if (leaf.kleene) spawnKleene(null, leaf, e)
@@ -284,7 +320,7 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   /** Pair every live instance of node `l` with `inst` (combining them at the
     * parent) or, when `inst` is null, with event `e` of the in-place leaf that
     * is `l`'s sibling, dropping expired and dead instances from the list as
-    * the scan passes them.
+    * the scan passes them. When both are null the scan only drops.
     */
   private def scan(l: Int, inst: PartialMatch, e: Event): Unit = {
     val info = nodes(l)
@@ -299,7 +335,7 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
       if (!s.dead && s.minTs + W >= now) {
         if (gone + kept != i) list(gone + kept) = s
         kept += 1
-        if (inst != null) combine(inst, s, info.parent) else bind(s, leaf, e)
+        if (inst != null) combine(inst, s, info.parent) else if (e != null) bind(s, leaf, e)
       } else {
         if (!s.dead) expire(s)
         if (kept == 0) gone += 1
@@ -431,11 +467,13 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   /** §5.3: does a buffered event of negation spec `k` block `bound`? It must
     * lie within W of every bound dependency and satisfy its predicates against
     * them. Negated events are never consumed: every element has its own type.
+    * Only the timestamp range its ordering predicates allow is read.
     */
   private def negBlocked(k: Int, bound: Array[AnyRef]): Boolean = {
     val buf = buffers(n + k)
-    var i = 0
-    while (i < buf.length) {
+    val end = buf.firstAfter(tsCeil(bound, negAfter(k)))
+    var i = buf.firstAtOrAfter(tsFloor(bound, negBefore(k)))
+    while (i < end) {
       if (negMatches(k, bound, buf(i))) return true
       i += 1
     }
@@ -476,15 +514,16 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
       if (leaf.kleene) spawnKleene(pm, leaf, e) else spawn(pm, leaf, e)
     }
 
-  /** Bind the buffered events of in-place leaf `leaf` to a new instance `pm`,
-    * until an emission kills `pm`.
+  /** Bind the buffered events of in-place leaf `leaf` in the timestamp range
+    * that `pm` allows to a new instance `pm`, until an emission kills `pm`.
     */
   private def extend(pm: PartialMatch, leaf: NodeInfo): Unit =
     if (leaf.kleene) spawnKleene(pm, leaf, null)
     else {
       val buf = buffers(leaf.leafElem)
-      var i = 0
-      while (i < buf.length && !pm.dead) {
+      val end = buf.firstAfter(tsCeil(pm.bound, leaf.after))
+      var i = buf.firstAtOrAfter(tsFloor(pm.bound, leaf.before))
+      while (i < end && !pm.dead) {
         val b = buf(i)
         if (compatible(pm, leaf, b)) spawn(pm, leaf, b)
         i += 1
@@ -511,15 +550,17 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
 
   /** The Kleene candidates of `leaf`: the last `maxKleeneBuffer` of its
     * buffered events with a serial below `below` that are compatible with
-    * `pm` (with no `pm`: not consumed), counting a cut list in
-    * `kleeneTruncated`. Buffered events all lie within [now-W, now], so
-    * members are pairwise window-compatible by construction.
+    * `pm` (read from the timestamp range `pm` allows; with no `pm`: not
+    * consumed), counting a cut list in `kleeneTruncated`. Buffered events all
+    * lie within [now-W, now], so members are pairwise window-compatible by
+    * construction.
     */
   private def kleeneBase(pm: PartialMatch, leaf: NodeInfo, below: Long): Array[Event] = {
     val buf = buffers(leaf.leafElem)
     val compat = mutable.ArrayBuffer.empty[Event]
-    var i = 0
-    while (i < buf.length) {
+    val end = if (pm == null) buf.size else buf.firstAfter(tsCeil(pm.bound, leaf.after))
+    var i = if (pm == null) 0 else buf.firstAtOrAfter(tsFloor(pm.bound, leaf.before))
+    while (i < end) {
       val b = buf(i)
       if (b.serial < below && compatible(pm, leaf, b)) compat += b
       i += 1
@@ -541,6 +582,27 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
     }
     if (last != null) members(j) = last
     members
+  }
+
+  /** The latest timestamp of the events `bound` binds at `elems`: an event
+    * that an ordering predicate puts after all of them has a timestamp at or
+    * above it. Minus infinity when `elems` is empty.
+    */
+  private def tsFloor(bound: Array[AnyRef], elems: Array[Int]): Double = {
+    var t = Double.NegativeInfinity
+    var k = 0
+    while (k < elems.length) { t = math.max(t, maxTsOf(bound(elems(k)))); k += 1 }
+    t
+  }
+
+  /** The earliest timestamp of the events `bound` binds at `elems`, the
+    * upper end of a range as [[tsFloor]] is the lower one.
+    */
+  private def tsCeil(bound: Array[AnyRef], elems: Array[Int]): Double = {
+    var t = Double.PositiveInfinity
+    var k = 0
+    while (k < elems.length) { t = math.min(t, minTsOf(bound(elems(k)))); k += 1 }
+    t
   }
 
   /** Window, consumption and predicate compatibility of event `ev` of leaf

@@ -158,7 +158,9 @@ final class MeasuredStatsProvider(
     val xs = diffs(aType)
     val ys = diffs(bType)
     val m = 4000
-    val ds = Array.fill(m)(ys(rnd.nextInt(ys.length)) - xs(rnd.nextInt(xs.length)))
+    val ds = new Array[Double](m) // filled in a loop: `Array.fill` boxes each sample
+    var k = 0
+    while (k < m) { ds(k) = ys(rnd.nextInt(ys.length)) - xs(rnd.nextInt(xs.length)); k += 1 }
     java.util.Arrays.sort(ds)
     val q = math.max(0, math.min(m - 1, math.round((1.0 - target) * (m - 1)).toInt))
     ds(q)

@@ -79,7 +79,7 @@ object SegmentedRunner {
           .matches
           .iterator
           .filter(m => math.floor(m.minTs / L).toLong == seg)
-          .map(m => MatchRow(seg, m.byElem.map(_.toSeq), m.minTs))
+          .map(m => MatchRow(seg, m.byElem, m.minTs))
       }
   }
 

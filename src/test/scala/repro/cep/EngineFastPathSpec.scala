@@ -6,8 +6,9 @@ import EngineTestKit._
 import scala.util.Random
 
 /** The shared per-event path: type dispatch, deferred eviction from the
-  * arrival ring, release of expired partial matches during scans, consumed-set
-  * pruning, the clock rule and the input-order guard.
+  * arrival ring, range reads of the event rings, release of expired partial
+  * matches during scans, consumed-set pruning, the clock rule and the
+  * input-order guard.
   */
 class EngineFastPathSpec extends AnyFunSuite {
 
@@ -182,6 +183,95 @@ class EngineFastPathSpec extends AnyFunSuite {
       }
       assert(ring.size == ref.size)
     }
+  }
+
+  test("tie-heavy streams: every plan matches the brute-force oracle under skip-till-any and contiguity") {
+    // Timestamps on a grid of a sixth of the window, so most events share
+    // their timestamp with others and the ends of the range reads tie.
+    val rnd = new Random(60)
+    val kinds = Vector("SEQ", "SEQ with negation", "SEQ with Kleene", "AND chained by serial successors")
+    val matchesBy = scala.collection.mutable.Map.empty[(String, Strategy), Int].withDefaultValue(0)
+    for (iter <- 1 to 40) {
+      val kind = kinds(iter % kinds.size)
+      val n = 3 + iter / kinds.size % 2 // contiguity matches come mostly from n = 3
+      val withNeg = kind == "SEQ with negation"
+      val sp = kind match {
+        case "AND chained by serial successors" =>
+          // No `TsLess`: events of equal timestamps match, at both range ends.
+          val p = randomPattern(rnd, n, withNeg = false, withKl = false)
+          p.copy(op = AND, preds = p.preds ++ (0 until n - 1).map(i => Pred(i, i + 1, SerialSucc)))
+        case _ => randomPattern(rnd, n, withNeg, withKl = kind == "SEQ with Kleene").copy(op = SEQ)
+      }
+      val step = sp.window / 6
+      // Pattern types only, about three events of each per window, so that
+      // contiguous runs of the elements' types occur.
+      val s = randomStream(n, 300, 300 * sp.window / (3.0 * n), rnd)
+        .map(e => e.copy(ts = math.floor(e.ts / step) * step))
+      assert(s.groupBy(_.ts).values.filter(_.size > 1).map(_.size).sum > s.size / 2,
+        s"iter=$iter: most events should share their timestamp")
+      val posN = sp.positives.size
+      for (strategy <- Seq[Strategy](AnyMatch, Contiguity)) {
+        val oracle = bruteForce(orderBranch(sp, (0 until posN).toVector, strategy), s)
+        // Under contiguity the serial-successor predicates of a negated
+        // element's neighbours go to the negated element, so matches can share
+        // events and consumption keeps some of them: each is still a match.
+        def agrees(r: RunResult) =
+          if (withNeg && strategy == Contiguity) uncut(r).subsetOf(oracle) else uncut(r) == oracle
+        for (order <- (0 until posN).toVector.permutations)
+          assert(agrees(runNfa(sp, order, s, strategy)), s"$strategy iter=$iter order=$order sp=$sp")
+        for (t <- PlanOracles.enumerate((0 until posN).toVector))
+          assert(agrees(runTree(sp, t, s, strategy)), s"$strategy iter=$iter tree=$t sp=$sp")
+        matchesBy((kind, strategy)) += matchSet(runNfa(sp, (0 until posN).toVector, s, strategy)).size
+      }
+    }
+    for (kind <- kinds; strategy <- Seq(AnyMatch, Contiguity))
+      assert(matchesBy((kind, strategy)) > 0, s"$kind $strategy: the streams should hold matches")
+  }
+
+  test("the event ring agrees with a reference queue, also after growing while wrapped") {
+    val rnd = new Random(59)
+    val ring = new EventRing
+    val ref = scala.collection.mutable.Queue.empty[Event]
+    var t = 0.0
+    var serial = 0L
+    def append(): Unit = {
+      if (rnd.nextDouble() < 0.4) t += 0.25 * (1 + rnd.nextInt(3)) // else a tie
+      val e = ev(rnd.nextInt(4), t, serial)
+      serial += 1
+      ring.append(e); ref.enqueue(e)
+    }
+    def removeHead(): Unit = { ring.removeHead(); ref.dequeue() }
+    def agrees(step: Int): Unit = {
+      assert(ring.size == ref.size, s"step $step")
+      for (i <- ref.indices) assert((ring(i) eq ref(i)) && ring.ts(i) == ref(i).ts, s"step $step index $i")
+      val probes = ref.map(_.ts).distinct.flatMap(x => Seq(x - 0.125, x, x + 0.125)) ++
+        Seq(Double.NegativeInfinity, Double.PositiveInfinity)
+      for (p <- probes) {
+        val linear = ref.indexWhere(_.ts >= p)
+        assert(ring.firstAtOrAfter(p) == (if (linear < 0) ref.size else linear), s"step $step probe $p")
+      }
+    }
+    // Fill the 16 initial entries, drain ten and refill them: the ring is full
+    // with its head in the middle, so the next append grows it while wrapped.
+    (1 to 16).foreach(_ => append())
+    (1 to 10).foreach(_ => removeHead())
+    (1 to 10).foreach(_ => append())
+    agrees(0)
+    append()
+    agrees(0)
+    for (step <- 1 to 20000) {
+      // Drift between filling and draining, so the ring wraps, grows and empties.
+      val appendShare = if ((step / 2000) % 2 == 0) 0.6 else 0.45
+      if (ref.isEmpty || rnd.nextDouble() < appendShare) append()
+      else {
+        assert(ring(0) eq ref.head, s"step $step")
+        removeHead()
+      }
+      assert(ring.size == ref.size, s"step $step")
+      if (step % 97 == 0) agrees(step)
+    }
+    while (ref.nonEmpty) removeHead()
+    agrees(20001)
   }
 
   /** Streams that break the (ts, serial) order at their last event. */
