@@ -41,53 +41,85 @@ object OrderAlgos {
     OrderPlan(order.result())
   }
 
+  /** `Cost_ord` of an order held in an array: `cm.orderCost` term by term. */
+  private def stepSum(cm: CostModel, ord: Array[Int]): Double = {
+    var mask = 0
+    var c = 0.0
+    var p = 0
+    while (p < ord.length) { val e = ord(p); mask |= 1 << e; c += cm.orderStep(mask, e); p += 1 }
+    c
+  }
+
   /** One iterative-improvement descent [Swami '89]: explore `swap` (two positions
     * exchanged) and `cycle` (three positions rotated) moves, take the best
-    * improving neighbour, stop at a local minimum.
+    * improving neighbour (the first one found at the lowest cost), stop at a
+    * local minimum. Each move is scored in place on `cur` and undone.
     */
-  private def descend(cm: CostModel, start: Vector[Int], maxIters: Int = 1000): Vector[Int] = {
-    var cur = start
-    var curCost = cm.orderCost(OrderPlan(cur))
+  private def descend(cm: CostModel, start: Vector[Int], maxIters: Int = 1000): OrderPlan = {
+    val cur = start.toArray
+    val n = cur.length
+    var curCost = stepSum(cm, cur)
     var improved = true
     var iters = 0
-    val n = cur.size
     while (improved && iters < maxIters) {
       improved = false
       iters += 1
       var bestCost = curCost
-      var bestOrd: Vector[Int] = null
+      var bi = -1; var bj = -1; var bk = -1 // best move; bk < 0 for a swap
+      var i = 0
       // swap moves
-      for (i <- 0 until n; j <- i + 1 until n) {
-        val cand = cur.updated(i, cur(j)).updated(j, cur(i))
-        val c = cm.orderCost(OrderPlan(cand))
-        if (c < bestCost) { bestCost = c; bestOrd = cand }
+      while (i < n) {
+        var j = i + 1
+        while (j < n) {
+          val vi = cur(i); cur(i) = cur(j); cur(j) = vi
+          val c = stepSum(cm, cur)
+          cur(j) = cur(i); cur(i) = vi
+          if (c < bestCost) { bestCost = c; bi = i; bj = j; bk = -1 }
+          j += 1
+        }
+        i += 1
       }
-      // cycle moves: rotate the values at three positions
-      for (i <- 0 until n; j <- i + 1 until n; k <- j + 1 until n) {
-        val cand = cur.updated(i, cur(k)).updated(j, cur(i)).updated(k, cur(j))
-        val c = cm.orderCost(OrderPlan(cand))
-        if (c < bestCost) { bestCost = c; bestOrd = cand }
+      // cycle moves: positions (i, j, k) take the values at (k, i, j)
+      i = 0
+      while (i < n) {
+        var j = i + 1
+        while (j < n) {
+          var k = j + 1
+          while (k < n) {
+            val vi = cur(i); val vj = cur(j)
+            cur(i) = cur(k); cur(j) = vi; cur(k) = vj
+            val c = stepSum(cm, cur)
+            cur(k) = cur(i); cur(i) = vi; cur(j) = vj
+            if (c < bestCost) { bestCost = c; bi = i; bj = j; bk = k }
+            k += 1
+          }
+          j += 1
+        }
+        i += 1
       }
-      if (bestOrd != null) { cur = bestOrd; curCost = bestCost; improved = true }
+      if (bi >= 0) {
+        val vi = cur(bi)
+        if (bk < 0) { cur(bi) = cur(bj); cur(bj) = vi }
+        else { val vj = cur(bj); cur(bi) = cur(bk); cur(bj) = vi; cur(bk) = vj }
+        curCost = bestCost
+        improved = true
+      }
     }
-    cur
+    OrderPlan(cur.toVector)
   }
 
   /** II-RANDOM: iterative improvement from random starts, best local minimum kept. */
   def iiRandom(cm: CostModel, seed: Long = 42, restarts: Int = 5): OrderPlan = {
     if (cm.n <= 24) cm.ensureTable()
     val rnd = new Random(seed)
-    val cands = (0 until restarts).map { _ =>
-      val start = rnd.shuffle((0 until cm.n).toVector)
-      descend(cm, start)
-    }
-    OrderPlan(cands.minBy(o => cm.orderCost(OrderPlan(o))))
+    val cands = (0 until restarts).map(_ => descend(cm, rnd.shuffle((0 until cm.n).toVector)))
+    cands.minBy(cm.orderCost)
   }
 
   /** II-GREEDY: iterative improvement from the greedy solution. */
   def iiGreedy(cm: CostModel): OrderPlan = {
     if (cm.n <= 24) cm.ensureTable()
-    OrderPlan(descend(cm, greedy(cm).order))
+    descend(cm, greedy(cm).order)
   }
 
   /** DP-LD [Selinger '79]: exact dynamic programming over element subsets.

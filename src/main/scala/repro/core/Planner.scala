@@ -85,16 +85,17 @@ object Planner {
   }
 
   /** Planning statistics for a normalized positive pattern: measured rates with
-    * the KL rewrite applied, and the selectivity matrix folded from predicates.
+    * the KL rewrite applied, and the product of the predicates' selectivities
+    * per element pair.
     */
   def buildStats(positive: SimplePattern, provider: StatsProvider): Stats = {
     val rates = positive.elems.map { e =>
       val r = provider.rate(e)
       if (e.kleene) Rewrites.kleeneRate(r, positive.window) else r
     }
-    positive.preds.foldLeft(Stats.unconstrained(rates, positive.window)) { (s, p) =>
-      s.timesSel(p.i, p.j, provider.predSelectivity(positive.elems(p.i), positive.elems(p.j), p.op))
-    }
+    Stats.fromPreds(rates, positive.window, positive.preds.map { p =>
+      (p.i, p.j, provider.predSelectivity(positive.elems(p.i), positive.elems(p.j), p.op))
+    })
   }
 
   private def runAlgo(algo: Algo, cm: CostModel): Either[OrderPlan, TreePlan] = algo match {

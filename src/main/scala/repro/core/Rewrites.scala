@@ -8,23 +8,16 @@ final case class NegPred(posIdx: Int, op: PredOp, negOnLeft: Boolean) extends Se
 
 /** Evaluation-time description of one NOT element (§5.3): the pattern is planned
   * on its positive part and the negation check is attached at the earliest point
-  * where every positive element it depends on is bound.
+  * where every positive element it depends on is bound. A negated element of a
+  * sequence is ordered between its SEQ neighbours by the `TsLess` predicates
+  * [[Rewrites.seqToAnd]] adds, which arrive here as ordinary `preds`.
   *
-  * @param elem     the negated element (type info)
-  * @param preds    predicates between the negated event and positive elements
-  * @param tsAfter  positive position whose timestamp must precede the negated event
-  *                 (its left SEQ neighbour), if any
-  * @param tsBefore positive position whose timestamp must follow the negated event
-  *                 (its right SEQ neighbour), if any
+  * @param elem  the negated element (type info)
+  * @param preds predicates between the negated event and positive elements
   */
-final case class NegSpec(
-    elem: Elem,
-    preds: Vector[NegPred],
-    tsAfter: Option[Int],
-    tsBefore: Option[Int],
-) extends Serializable {
+final case class NegSpec(elem: Elem, preds: Vector[NegPred]) extends Serializable {
   /** Positive positions that must be bound before the check can run. */
-  def dependsOn: Set[Int] = preds.map(_.posIdx).toSet ++ tsAfter ++ tsBefore
+  def dependsOn: Set[Int] = preds.map(_.posIdx).toSet
 }
 
 /** The pattern-class reductions of §5: SEQ→AND, Kleene closure, negation split,
@@ -83,9 +76,11 @@ object Rewrites {
 
   /** §5.3: split a simple pattern into its positive part (same operator, NOT
     * elements removed, predicates among positives remapped) and one [[NegSpec]]
-    * per negated element.
+    * per negated element. The input is [[seqToAnd]]'s output, so a sequence's
+    * order is already held in `TsLess` predicates and moves with them.
     */
   def splitNegation(sp: SimplePattern): (SimplePattern, Vector[NegSpec]) = {
+    require(sp.op != SEQ, "split the negation of seqToAnd's output, whose order is held in TsLess predicates")
     val n = sp.size
     val posIdx = Array.fill(n)(-1) // original index -> positive index
     var next = 0
@@ -100,16 +95,7 @@ object Rewrites {
         case Pred(`i`, j, op) if posIdx(j) >= 0 => NegPred(posIdx(j), op, negOnLeft = true)
         case Pred(a, `i`, op) if posIdx(a) >= 0 => NegPred(posIdx(a), op, negOnLeft = false)
       }
-      // SEQ: the negated event is constrained between its nearest positive
-      // neighbours (the paper's SEQ(A, NOT(B), C, D) example: B tested between
-      // A and C).
-      val (tsAfter, tsBefore) =
-        if (sp.op == SEQ) {
-          val before = (i - 1 to 0 by -1).find(k => posIdx(k) >= 0).map(posIdx)
-          val after  = (i + 1 until n).find(k => posIdx(k) >= 0).map(posIdx)
-          (before, after)
-        } else (None, None)
-      NegSpec(e, myPreds, tsAfter, tsBefore)
+      NegSpec(e, myPreds)
     }
     (sp.copy(elems = positives, preds = posPreds.map(_.remap(posIdx))), negs)
   }

@@ -40,7 +40,17 @@ object Stats {
   def unconstrained(rates: Vector[Double], window: Double): Stats =
     Stats(rates, Vector.fill(rates.size, rates.size)(1.0), window)
 
-  /** Build from a list of (i, j, selectivity) predicates over unconstrained stats. */
-  def fromPreds(rates: Vector[Double], window: Double, preds: Seq[(Int, Int, Double)]): Stats =
-    preds.foldLeft(unconstrained(rates, window)) { case (s, (i, j, f)) => s.timesSel(i, j, f) }
+  /** Build from a list of (i, j, selectivity) predicates over unconstrained
+    * stats: each multiplies `sel(i)(j)` and its mirror, in list order, as
+    * folding `timesSel` over them would, into one matrix.
+    */
+  def fromPreds(rates: Vector[Double], window: Double, preds: Seq[(Int, Int, Double)]): Stats = {
+    val n = rates.size
+    val m = Array.fill(n, n)(1.0)
+    preds.foreach { case (i, j, f) =>
+      m(i)(j) *= f
+      if (i != j) m(j)(i) *= f
+    }
+    Stats(rates, m.map(_.toVector).toVector, window)
+  }
 }

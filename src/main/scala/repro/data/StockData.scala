@@ -113,7 +113,7 @@ object StockData {
   * stage").
   *
   * @param rates     measured per-type arrival rates
-  * @param diffs     sorted per-type `difference` samples
+  * @param diffs     per-type `difference` samples, each sorted ascending
   * @param window    pattern window W
   * @param totalRate total stream rate (for the contiguity adjacency estimate)
   */
@@ -123,9 +123,19 @@ final class MeasuredStatsProvider(
     val window: Double,
     totalRate: Double,
 ) extends StatsProvider {
+  diffs.foreach { case (t, xs) =>
+    require((1 until xs.length).forall(i => xs(i - 1) <= xs(i)),
+      s"difference samples of type $t are not sorted ascending")
+  }
 
   override def rate(elem: Elem): Double = rates(elem.typeId)
 
+  /** `AttrCmp` selectivity: the share of sample pairs (x, y), x of `a`'s type
+    * and y of `b`'s, with `x + shift < y`, clamped to [1e-4, 1 − 1e-4] and
+    * complemented for `less = false`. Both sample arrays are sorted, so
+    * `x + shift` never decreases along `a`'s samples and one merge pass counts
+    * every pair in O(|xs| + |ys|).
+    */
   override def predSelectivity(a: Elem, b: Elem, op: PredOp): Double = op match {
     case TsLess => 0.5 // pairwise independence approximation for order constraints
     case SerialSucc =>
@@ -135,13 +145,13 @@ final class MeasuredStatsProvider(
       require(attr == 0, "selectivity measurement is defined on the difference attribute")
       val xs = diffs(a.typeId)
       val ys = diffs(b.typeId)
-      // P(x + shift < y) over independent samples, via binary search on sorted ys.
+      // lo = number of ys ≤ xs(i) + shift; it only grows with i.
       var hits = 0L
+      var lo = 0
       var i = 0
       while (i < xs.length) {
         val t = xs(i) + shift
-        var lo = 0; var hi = ys.length
-        while (lo < hi) { val m = (lo + hi) >>> 1; if (ys(m) <= t) lo = m + 1 else hi = m }
+        while (lo < ys.length && ys(lo) <= t) lo += 1
         hits += ys.length - lo
         i += 1
       }
@@ -151,18 +161,76 @@ final class MeasuredStatsProvider(
   }
 
   /** Shift θ such that P(x + θ < y) ≈ target, from the empirical distribution of
-    * cross differences d = y − x (θ = quantile of d at 1 − target).
+    * cross differences d = y − x (θ = quantile of d at 1 − target). The 4000
+    * differences are drawn with the index sequence `scala.util.Random(seed)`'s
+    * `nextInt` gives, and the quantile is the value a full ascending sort would
+    * put at its rank, found by selection in linear expected time.
     */
   def shiftForTargetSelectivity(aType: Int, bType: Int, target: Double, seed: Long): Double = {
-    val rnd = new scala.util.Random(seed)
+    val rnd = new MeasuredStatsProvider.Lcg(seed)
     val xs = diffs(aType)
     val ys = diffs(bType)
     val m = 4000
-    val ds = new Array[Double](m) // filled in a loop: `Array.fill` boxes each sample
+    val ds = new Array[Double](m)
     var k = 0
     while (k < m) { ds(k) = ys(rnd.nextInt(ys.length)) - xs(rnd.nextInt(xs.length)); k += 1 }
-    java.util.Arrays.sort(ds)
     val q = math.max(0, math.min(m - 1, math.round((1.0 - target) * (m - 1)).toInt))
-    ds(q)
+    MeasuredStatsProvider.select(ds, q)
+  }
+}
+
+object MeasuredStatsProvider {
+
+  /** The value `java.util.Arrays.sort(a)` leaves at index `k`, that is the k-th
+    * smallest under `java.lang.Double.compare` (−0.0 before 0.0), found by
+    * Hoare's FIND (CACM Algorithm 65, 1961) in linear expected time. Reorders `a`.
+    */
+  private[data] def select(a: Array[Double], k: Int): Double = {
+    require(k >= 0 && k < a.length, s"rank $k outside an array of ${a.length}")
+    var lo = 0
+    var hi = a.length - 1
+    while (lo < hi) {
+      val pivot = a((lo + hi) >>> 1)
+      var i = lo
+      var j = hi
+      while (i <= j) {
+        while (java.lang.Double.compare(a(i), pivot) < 0) i += 1
+        while (java.lang.Double.compare(a(j), pivot) > 0) j -= 1
+        if (i <= j) { val t = a(i); a(i) = a(j); a(j) = t; i += 1; j -= 1 }
+      }
+      // a(lo..j) ≤ pivot ≤ a(i..hi), and every slot between j and i holds the pivot.
+      if (k <= j) hi = j
+      else if (k >= i) lo = i
+      else return a(k)
+    }
+    a(k)
+  }
+
+  /** `java.util.Random`'s documented 48-bit linear congruential generator and
+    * its `nextInt(bound)`: the same sequence for the same seed, without the
+    * atomic compare-and-set `java.util.Random` pays on every draw.
+    */
+  private[data] final class Lcg(seed0: Long) {
+    private final val Multiplier = 0x5DEECE66DL
+    private final val Mask = (1L << 48) - 1
+    private var seed = (seed0 ^ Multiplier) & Mask
+
+    private def next(bits: Int): Int = {
+      seed = (seed * Multiplier + 0xBL) & Mask
+      (seed >>> (48 - bits)).toInt
+    }
+
+    def nextInt(bound: Int): Int = {
+      require(bound > 0, "bound must be positive")
+      var r = next(31)
+      val m = bound - 1
+      if ((bound & m) == 0) ((bound * r.toLong) >> 31).toInt
+      else {
+        var u = r
+        r = u % bound
+        while (u - r + m < 0) { u = next(31); r = u % bound }
+        r
+      }
+    }
   }
 }
