@@ -110,7 +110,7 @@ object OrderAlgos {
 
   /** II-RANDOM: iterative improvement from random starts, best local minimum kept. */
   def iiRandom(cm: CostModel, seed: Long = 42, restarts: Int = 5): OrderPlan = {
-    if (cm.n <= 24) cm.ensureTable()
+    cm.ensureTable()
     val rnd = new Random(seed)
     val cands = (0 until restarts).map(_ => descend(cm, rnd.shuffle((0 until cm.n).toVector)))
     cands.minBy(cm.orderCost)
@@ -118,7 +118,7 @@ object OrderAlgos {
 
   /** II-GREEDY: iterative improvement from the greedy solution. */
   def iiGreedy(cm: CostModel): OrderPlan = {
-    if (cm.n <= 24) cm.ensureTable()
+    cm.ensureTable()
     descend(cm, greedy(cm).order)
   }
 
@@ -128,7 +128,7 @@ object OrderAlgos {
     */
   def dpLeftDeep(cm: CostModel): OrderPlan = {
     val n = cm.n
-    if (n <= 24) cm.ensureTable()
+    cm.ensureTable()
     val full = (1 << n) - 1
     val best = Array.fill(1 << n)(Double.PositiveInfinity)
     val choice = Array.fill(1 << n)(-1)

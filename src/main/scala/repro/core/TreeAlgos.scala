@@ -44,7 +44,7 @@ object TreeAlgos {
     */
   def dpBushy(cm: CostModel): TreePlan = {
     val n = cm.n
-    if (n <= 24) cm.ensureTable()
+    cm.ensureTable()
     val full = (1 << n) - 1
     val best = Array.fill(1 << n)(Double.PositiveInfinity)
     val split = Array.fill(1 << n)(0)

@@ -1,10 +1,10 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.cep.Event
 import repro.core._
+import repro.spark.EventRow
 
 /** Configuration of the synthetic NASDAQ-like tick stream (§7.2 substitution).
   *
@@ -36,9 +36,9 @@ final case class StockConfig(
   * Events carry `difference` (the preprocessed price-delta attribute of §7.2,
   * standard normal here) and a price. Arrival processes are Poisson-like: a
   * deterministic per-type count `r_i·horizon` with i.i.d. uniform timestamps.
-  * Rates and predicate selectivities are *measured* from the generated stream
-  * (Spark aggregations / empirical quantiles), mirroring the paper's
-  * preprocessing stage.
+  * The stream is generated on the driver; rates and predicate selectivities
+  * are then *measured* from it (Spark aggregations over a DataFrame made from
+  * it, empirical quantiles), mirroring the paper's preprocessing stage.
   */
 object StockData {
 
@@ -50,34 +50,33 @@ object StockData {
     }
   }
 
-  /** The tick stream as a DataFrame [typeId, ts, serial, diff, price], serial
-    * strictly increasing with ts.
+  /** The tick stream of `cfg`, generated on the driver so that it depends on
+    * `cfg` alone, never on the number of cores. Type `i` gets
+    * `max(1, round(r_i·horizon))` events; one `java.util.Random(seed)` draws,
+    * event by event and type by type, `ts` uniform on [0, horizon), `difference`
+    * ~ N(0,1) and price 100 + 10·N(0,1). Events are in (ts, typeId) order and
+    * the serial (the stream position used by contiguity, §6.2) is the position.
     */
-  def streamDF(spark: SparkSession, cfg: StockConfig): DataFrame = {
-    val rates = configuredRates(cfg)
-    val perType = rates.zipWithIndex.map { case (r, i) =>
-      val nEv = math.max(1L, math.round(r * cfg.horizon))
-      spark.range(nEv).select(
-        lit(i) as "typeId",
-        (rand(cfg.seed + 31L * i) * cfg.horizon) as "ts",
-        randn(cfg.seed + 1013L * i + 1) as "diff",
-        (lit(100.0) + randn(cfg.seed + 1013L * i + 2) * 10.0) as "price",
-      )
+  def events(cfg: StockConfig): Array[Event] = {
+    val rnd = new java.util.Random(cfg.seed)
+    val drawn = for {
+      (r, t) <- configuredRates(cfg).zipWithIndex
+      _ <- 0L until math.max(1L, math.round(r * cfg.horizon))
+    } yield {
+      val ts = rnd.nextDouble() * cfg.horizon
+      val diff = rnd.nextGaussian()
+      (t, ts, diff, 100.0 + 10.0 * rnd.nextGaussian())
     }
-    val all = perType.reduce(_ unionAll _)
-    // Serial numbers: the stream position attribute used by contiguity (§6.2).
-    // A single-partition window sort is fine at these scales.
-    all
-      .withColumn("serial", row_number().over(Window.orderBy("ts", "typeId")).cast("long") - 1)
-      .select("typeId", "ts", "serial", "diff", "price")
+    drawn.sortBy { case (t, ts, _, _) => (ts, t) }.zipWithIndex.map {
+      case ((t, ts, diff, price), s) => Event(t, ts, s.toLong, Array(diff, price))
+    }.toArray
   }
 
-  /** Collect the stream to the driver, sorted by serial, as engine events. */
-  def collectEvents(df: DataFrame): Array[Event] =
-    df.select("typeId", "ts", "serial", "diff", "price")
-      .collect()
-      .map(r => Event(r.getInt(0), r.getDouble(1), r.getLong(2), Array(r.getDouble(3), r.getDouble(4))))
-      .sortBy(_.serial)
+  /** The stream as a DataFrame [typeId, ts, serial, diff, price], for the
+    * Spark-side measurement and the Spark runners.
+    */
+  def streamDF(spark: SparkSession, events: Array[Event]): DataFrame =
+    spark.createDataFrame(events.toSeq.map(e => EventRow(e.typeId, e.ts, e.serial, e.diff, e.attrs(1))))
 
   /** Arrival rates measured from the stream (Spark aggregation, as in §7.2). */
   def measuredRates(df: DataFrame, horizon: Double): Map[Int, Double] =

@@ -48,7 +48,7 @@ object JoinPlanRunner {
   /** Join condition between two element sets: all predicates spanning the sets
     * plus the pairwise window constraints.
     */
-  private def joinCondition(positive: SimplePattern, left: Set[Int], right: Set[Int]): Option[Column] = {
+  private[spark] def joinCondition(positive: SimplePattern, left: Set[Int], right: Set[Int]): Option[Column] = {
     val w = positive.window
     val preds = positive.preds.collect {
       case p if (left(p.i) && right(p.j)) || (left(p.j) && right(p.i)) => predColumn(p)

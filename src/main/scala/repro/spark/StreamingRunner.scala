@@ -17,14 +17,15 @@ import repro.core._
   * no match is lost and none is duplicated.
   *
   * Pure AND-normalized patterns (no NOT/KL). The input streaming DataFrame has
-  * the batch schema [typeId, ts, serial, diff, price]; an `eventTime` timestamp
-  * column (seconds = `ts`) is derived for watermarking. Matches equal the batch
+  * the batch schema [typeId, ts, serial, diff, price]; each element derives an
+  * `e{i}_time` timestamp column (seconds = `ts`) for watermarking. Matches equal the batch
   * [[JoinPlanRunner]] results (asserted by tests).
   */
 object StreamingRunner {
 
-  /** Per-element watermarked sub-stream with `e{i}_` prefixed columns. When
-    * `replicate` is set the rows are exploded to the three adjacent bucket keys.
+  /** [[JoinPlanRunner.elemDF]] plus a watermarked `e{i}_time` event-time
+    * column and the bucket key `e{i}_bucket`; when `replicate` is set the rows
+    * are exploded to the three adjacent bucket keys.
     */
   private def elemStream(
       stream: DataFrame,
@@ -33,47 +34,29 @@ object StreamingRunner {
       delay: String,
       replicate: Boolean,
   ): DataFrame = {
-    val e = positive.elems(i)
-    val w = positive.window
-    val bucket = floor(col("ts") / w).cast("long")
-    val keyCol =
-      if (replicate) explode(array(bucket - 1, bucket, bucket + 1)) else bucket
-    stream
-      .filter(col("typeId") === e.typeId)
-      .withColumn("eventTime", timestamp_seconds(col("ts")))
-      .withWatermark("eventTime", delay)
-      .select(
-        keyCol as s"e${i}_bucket",
-        col("eventTime") as s"e${i}_time",
-        col("ts") as s"e${i}_ts",
-        col("serial") as s"e${i}_serial",
-        col("diff") as s"e${i}_diff",
-        col("price") as s"e${i}_price",
-      )
+    val ts = col(s"e${i}_ts")
+    val bucket = floor(ts / positive.window).cast("long")
+    JoinPlanRunner.elemDF(stream, positive, i)
+      .withColumn(s"e${i}_time", timestamp_seconds(ts))
+      .withWatermark(s"e${i}_time", delay)
+      .withColumn(s"e${i}_bucket", if (replicate) explode(array(bucket - 1, bucket, bucket + 1)) else bucket)
   }
 
   /** Join condition between the bound element set (anchored at `anchor`) and the
-    * new element `j`: bucket equality, pattern predicates, pairwise window
-    * constraints, and event-time interval constraints for state cleanup.
+    * new element `j`: bucket equality, [[JoinPlanRunner.joinCondition]]'s
+    * pattern predicates and pairwise window constraints, and event-time
+    * interval constraints for state cleanup.
     */
   private def condition(positive: SimplePattern, left: Set[Int], anchor: Int, j: Int): Column = {
-    val w = positive.window
-    val iv = w.toInt + 1
-    val preds = positive.preds.collect {
-      case p if (left(p.i) && p.j == j) || (left(p.j) && p.i == j) => JoinPlanRunner.predColumn(p)
-    }
-    val windows = left.toVector.sorted.map { i =>
-      abs(col(s"e${i}_ts") - col(s"e${j}_ts")) <= lit(w)
-    }
+    val iv = positive.window.toInt + 1
+    val key = col(s"e${anchor}_bucket") === col(s"e${j}_bucket")
+    val predsAndWindows = JoinPlanRunner.joinCondition(positive, left, Set(j)).get
     // The interval constraint references only the anchor's event-time column —
     // the intermediate keeps a single event-time attribute (the others are
     // dropped after each join), which Spark requires for chained stateful joins.
-    val interval = Vector(
-      col(s"e${j}_time") >= col(s"e${anchor}_time") - expr(s"INTERVAL $iv SECONDS"),
-      col(s"e${j}_time") <= col(s"e${anchor}_time") + expr(s"INTERVAL $iv SECONDS"),
-    )
-    val key = col(s"e${anchor}_bucket") === col(s"e${j}_bucket")
-    (key +: (preds ++ windows ++ interval)).reduce(_ && _)
+    key && predsAndWindows &&
+      col(s"e${j}_time") >= col(s"e${anchor}_time") - expr(s"INTERVAL $iv SECONDS") &&
+      col(s"e${j}_time") <= col(s"e${anchor}_time") + expr(s"INTERVAL $iv SECONDS")
   }
 
   /** The streaming match relation for an order-based plan (left-deep chain of

@@ -52,11 +52,12 @@ object BenchWorld {
 
   @volatile private var worldRef: (Array[Event], MeasuredStatsProvider) = _
 
-  /** Generate the stream with Spark and measure its statistics (once). */
+  /** Generate the stream and measure its statistics with Spark (once). */
   def world(spark: SparkSession): (Array[Event], MeasuredStatsProvider) = synchronized {
     if (worldRef == null) {
-      val df = StockData.streamDF(spark, cfg).cache()
-      worldRef = (StockData.collectEvents(df), StockData.provider(df, cfg))
+      val events = StockData.events(cfg)
+      val df = StockData.streamDF(spark, events).cache()
+      worldRef = (events, StockData.provider(df, cfg))
       df.unpersist()
     }
     worldRef

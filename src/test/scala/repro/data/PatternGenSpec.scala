@@ -7,7 +7,7 @@ import repro.core._
 class PatternGenSpec extends SparkSpec {
 
   private lazy val cfg = StockConfig(nTypes = 10, horizon = 60.0, rateMin = 1.0, rateMax = 8.0, seed = 21)
-  private lazy val df = StockData.streamDF(spark, cfg).cache()
+  private lazy val df = StockData.streamDF(spark, StockData.events(cfg)).cache()
   private lazy val provider = StockData.provider(df, cfg)
 
   private def gen(cat: Category, size: Int, seed: Long = 5) =

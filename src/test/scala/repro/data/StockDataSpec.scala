@@ -1,13 +1,29 @@
 package repro.data
 
 import repro.SparkSpec
+import repro.bench.BenchWorld
+import repro.cep.Event
 import repro.core._
 
 /** Synthetic stock stream generation and statistics measurement (§7.2). */
 class StockDataSpec extends SparkSpec {
 
   private lazy val cfg = StockConfig(nTypes = 6, horizon = 50.0, rateMin = 1.0, rateMax = 10.0, seed = 11)
-  private lazy val df = StockData.streamDF(spark, cfg).cache()
+  private lazy val events = StockData.events(cfg)
+  private lazy val df = StockData.streamDF(spark, events).cache()
+
+  /** Event count, per-type counts and an FNV-1a hash over every event field. */
+  private def fingerprint(nTypes: Int, events: Array[Event]): String = {
+    val counts = new Array[Int](nTypes)
+    var h = 0xcbf29ce484222325L
+    def mix(x: Long): Unit = { h ^= x; h *= 0x100000001b3L }
+    events.foreach { e =>
+      counts(e.typeId) += 1
+      mix(e.typeId.toLong); mix(java.lang.Double.doubleToLongBits(e.ts)); mix(e.serial)
+      e.attrs.foreach(a => mix(java.lang.Double.doubleToLongBits(a)))
+    }
+    f"events=${events.length} types=${counts.mkString("/")} hash=$h%016x"
+  }
 
   test("stream schema and row count match configured rates") {
     assert(df.columns.toSet == Set("typeId", "ts", "serial", "diff", "price"))
@@ -16,14 +32,28 @@ class StockDataSpec extends SparkSpec {
   }
 
   test("generation is deterministic in the config") {
-    val again = StockData.streamDF(spark, cfg)
-    assert(df.collect().map(_.toString).sorted.sameElements(again.collect().map(_.toString).sorted))
+    // The world depends on the config alone: these strings hold under any
+    // core count. The second is the benchmark's grid world at seed 97.
+    assert(fingerprint(BenchWorld.cfg.nTypes, StockData.events(BenchWorld.cfg)) ==
+      "events=17593 types=1210/1091/2379/522/651/861/639/906/594/708/219/395/550/2011/1356/232/2537/260/308/164 hash=2e519ac0e4868e03")
+    val grid = StockConfig(20, 60.0, 1.0, 10.0, 1.0, 97)
+    assert(fingerprint(grid.nTypes, StockData.events(grid)) ==
+      "events=4695 types=317/291/543/162/193/241/190/251/180/207/81/130/169/474/347/85/571/93/106/64 hash=d8f982393e65115f")
+    // Spark-side measurement does not depend on the partitioning either.
+    val parts = Seq(1, 7).map(n => df.repartition(n))
+    val Seq(r1, r7) = parts.map(StockData.measuredRates(_, cfg.horizon))
+    assert(r1 == r7)
+    val Seq(d1, d7) = parts.map(StockData.diffSamples(_))
+    assert(d1.keySet == d7.keySet)
+    d1.foreach { case (t, xs) =>
+      assert(xs.map(java.lang.Double.doubleToLongBits).sameElements(d7(t).map(java.lang.Double.doubleToLongBits)),
+        s"type $t")
+    }
   }
 
   test("serials are unique, contiguous and increase with ts") {
-    val evs = StockData.collectEvents(df)
-    assert(evs.map(_.serial).toVector == evs.indices.map(_.toLong).toVector)
-    assert(evs.sliding(2).forall { case Array(a, b) => a.ts <= b.ts; case _ => true })
+    assert(events.map(_.serial).toVector == events.indices.map(_.toLong).toVector)
+    assert(events.sliding(2).forall { case Array(a, b) => a.ts <= b.ts; case _ => true })
   }
 
   test("measured rates approximate configured rates (Spark aggregation)") {
@@ -35,9 +65,8 @@ class StockDataSpec extends SparkSpec {
   }
 
   test("timestamps stay inside the horizon; diffs are centred") {
-    val evs = StockData.collectEvents(df)
-    assert(evs.forall(e => e.ts >= 0 && e.ts <= cfg.horizon))
-    val mean = evs.map(_.diff).sum / evs.length
+    assert(events.forall(e => e.ts >= 0 && e.ts <= cfg.horizon))
+    val mean = events.map(_.diff).sum / events.length
     assert(math.abs(mean) < 0.2)
   }
 

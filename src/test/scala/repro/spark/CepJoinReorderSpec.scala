@@ -10,7 +10,7 @@ import repro.data._
 class CepJoinReorderSpec extends SparkSpec {
 
   private lazy val cfg = StockConfig(nTypes = 6, horizon = 40.0, rateMin = 1.0, rateMax = 12.0, seed = 61)
-  private lazy val df = StockData.streamDF(spark, cfg).cache()
+  private lazy val df = StockData.streamDF(spark, StockData.events(cfg)).cache()
   private lazy val provider = StockData.provider(df, cfg)
 
   /** Left-to-right element order of the join leaves in an optimized plan. */

@@ -14,8 +14,8 @@ import repro.data._
 class JoinPlanRunnerSpec extends SparkSpec {
 
   private lazy val cfg = StockConfig(nTypes = 5, horizon = 40.0, rateMin = 1.0, rateMax = 6.0, seed = 31)
-  private lazy val df = StockData.streamDF(spark, cfg).cache()
-  private lazy val events = StockData.collectEvents(df)
+  private lazy val events = StockData.events(cfg)
+  private lazy val df = StockData.streamDF(spark, events).cache()
   private lazy val provider = StockData.provider(df, cfg)
 
   private def seqPattern(types: Vector[Int], preds: Vector[Pred], w: Double = 1.0) =

@@ -9,8 +9,8 @@ import repro.data._
 class SegmentedRunnerSpec extends SparkSpec {
 
   private lazy val cfg = StockConfig(nTypes = 5, horizon = 60.0, rateMin = 1.0, rateMax = 6.0, seed = 41)
-  private lazy val df = StockData.streamDF(spark, cfg).cache()
-  private lazy val events = StockData.collectEvents(df)
+  private lazy val events = StockData.events(cfg)
+  private lazy val df = StockData.streamDF(spark, events).cache()
   private lazy val provider = StockData.provider(df, cfg)
 
   test("every event lands in at most two segments and covers its window range") {

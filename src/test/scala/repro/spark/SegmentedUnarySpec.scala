@@ -12,8 +12,8 @@ import repro.data._
 class SegmentedUnarySpec extends SparkSpec {
 
   private lazy val cfg = StockConfig(nTypes = 5, horizon = 60.0, rateMin = 1.0, rateMax = 5.0, seed = 71)
-  private lazy val df = StockData.streamDF(spark, cfg).cache()
-  private lazy val events = StockData.collectEvents(df)
+  private lazy val events = StockData.events(cfg)
+  private lazy val df = StockData.streamDF(spark, events).cache()
   private lazy val provider = StockData.provider(df, cfg)
 
   test("segmented negation run equals the driver-side run") {

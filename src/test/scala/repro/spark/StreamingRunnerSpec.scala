@@ -11,7 +11,7 @@ import repro.data._
 class StreamingRunnerSpec extends SparkSpec {
 
   private lazy val cfg = StockConfig(nTypes = 4, horizon = 40.0, rateMin = 1.0, rateMax = 4.0, seed = 51)
-  private lazy val df = StockData.streamDF(spark, cfg).cache()
+  private lazy val df = StockData.streamDF(spark, StockData.events(cfg)).cache()
   private lazy val provider = StockData.provider(df, cfg)
 
   private def runStreaming(branch: PlannedBranch, name: String): Set[Vector[Long]] = {
