@@ -56,7 +56,7 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   private val positive: SimplePattern = branch.positive
   private val n: Int = positive.size
   private val W: Double = positive.window
-  private val consuming: Boolean = branch.strategy != AnyMatch
+  private val consuming: Boolean = branch.model.strategy != AnyMatch
 
   /** The `TsLess` and `SerialSucc` predicates: each orders the event of its
     * `i` element at or before the event of its `j` element (serials increase
@@ -68,7 +68,6 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   // Node ids: 0..nNodes-1 in pre-order; node 0 is the root. For each node we
   // precompute its element mask, parent, sibling, and the cross predicates
   // checked when its two children combine.
-  private val plan = branch.plan.fold(TreePlan.leftDeep, identity)
   private case class NodeInfo(
       mask: Int,
       parent: Int,            // -1 for root
@@ -113,7 +112,7 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
       }
       id
     }
-    build(plan, -1, inPlace = false)
+    build(branch.tree, -1, inPlace = false)
     val arr = buf.toArray
     // attach negation specs at the lowest instance-creating node covering all
     // dependencies (the first such in pre-order on a tie)

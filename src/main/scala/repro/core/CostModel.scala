@@ -34,9 +34,20 @@ final class CostModel(
 ) extends Serializable {
   val n: Int = stats.n
   private val W = stats.window
-  private val card: Array[Double] = Array.tabulate(n)(stats.card) // W·r_i·sel_ii
-  private val rate: Array[Double] = stats.rates.toArray
-  private val selA: Array[Array[Double]] = Array.tabulate(n, n)((i, j) => stats.sel(i)(j))
+  private val card = new Array[Double](n) // W·r_i·sel_ii
+  private val rate = new Array[Double](n)
+  private val selA = Array.ofDim[Double](n, n)
+  locally {
+    var i = 0
+    while (i < n) {
+      val row = stats.sel(i)
+      card(i) = stats.card(i)
+      rate(i) = stats.rates(i)
+      var j = 0
+      while (j < n) { selA(i)(j) = row(j); j += 1 }
+      i += 1
+    }
+  }
 
   private def nextLike: Boolean = strategy != AnyMatch
 
@@ -166,10 +177,14 @@ final class CostModel(
   }
 
   /** `Cost_ord` (§4.1) / `Cost_ord^next` (§6.2), plus `α·Cost_ord^lat` (§6.1). */
-  def orderCost(o: OrderPlan): Double = {
+  def orderCost(o: OrderPlan): Double = orderCostOf(o.order.toArray)
+
+  /** `orderCost` of an order held in an array: the steps summed in plan order. */
+  private[core] def orderCostOf(order: Array[Int]): Double = {
     var mask = 0
     var c = 0.0
-    o.order.foreach { e => mask |= 1 << e; c += orderStep(mask, e) }
+    var p = 0
+    while (p < order.length) { val e = order(p); mask |= 1 << e; c += orderStep(mask, e); p += 1 }
     c
   }
 

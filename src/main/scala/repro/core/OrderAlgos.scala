@@ -41,15 +41,6 @@ object OrderAlgos {
     OrderPlan(order.result())
   }
 
-  /** `Cost_ord` of an order held in an array: `cm.orderCost` term by term. */
-  private def stepSum(cm: CostModel, ord: Array[Int]): Double = {
-    var mask = 0
-    var c = 0.0
-    var p = 0
-    while (p < ord.length) { val e = ord(p); mask |= 1 << e; c += cm.orderStep(mask, e); p += 1 }
-    c
-  }
-
   /** One iterative-improvement descent [Swami '89]: explore `swap` (two positions
     * exchanged) and `cycle` (three positions rotated) moves, take the best
     * improving neighbour (the first one found at the lowest cost), stop at a
@@ -58,7 +49,7 @@ object OrderAlgos {
   private def descend(cm: CostModel, start: Vector[Int], maxIters: Int = 1000): OrderPlan = {
     val cur = start.toArray
     val n = cur.length
-    var curCost = stepSum(cm, cur)
+    var curCost = cm.orderCostOf(cur)
     var improved = true
     var iters = 0
     while (improved && iters < maxIters) {
@@ -72,7 +63,7 @@ object OrderAlgos {
         var j = i + 1
         while (j < n) {
           val vi = cur(i); cur(i) = cur(j); cur(j) = vi
-          val c = stepSum(cm, cur)
+          val c = cm.orderCostOf(cur)
           cur(j) = cur(i); cur(i) = vi
           if (c < bestCost) { bestCost = c; bi = i; bj = j; bk = -1 }
           j += 1
@@ -88,7 +79,7 @@ object OrderAlgos {
           while (k < n) {
             val vi = cur(i); val vj = cur(j)
             cur(i) = cur(k); cur(j) = vi; cur(k) = vj
-            val c = stepSum(cm, cur)
+            val c = cm.orderCostOf(cur)
             cur(k) = cur(i); cur(i) = vi; cur(j) = vj
             if (c < bestCost) { bestCost = c; bi = i; bj = j; bk = k }
             k += 1

@@ -23,20 +23,22 @@ sealed trait TreePlan extends Serializable {
     case LeafPlan(e)    => Vector(e)
     case NodePlan(l, r) => l.leaves ++ r.leaves
   }
-  /** Bitmask of element positions covered by this subtree. */
-  def mask: Int = this match {
-    case LeafPlan(e)    => 1 << e
-    case NodePlan(l, r) => l.mask | r.mask
-  }
+  /** Bitmask of element positions covered by this subtree, computed once per
+    * node at construction.
+    */
+  def mask: Int
   /** All nodes (pre-order). */
   def nodes: Vector[TreePlan] = this match {
     case l: LeafPlan    => Vector(l)
     case n @ NodePlan(l, r) => n +: (l.nodes ++ r.nodes)
   }
 }
-final case class LeafPlan(elem: Int) extends TreePlan
+final case class LeafPlan(elem: Int) extends TreePlan {
+  val mask: Int = 1 << elem
+}
 final case class NodePlan(l: TreePlan, r: TreePlan) extends TreePlan {
   require((l.mask & r.mask) == 0, "subtrees must cover disjoint elements")
+  val mask: Int = l.mask | r.mask
 }
 
 object TreePlan {

@@ -38,8 +38,9 @@ object Algo {
   * @param positive normalized positive pattern: op=AND, all temporal/contiguity
   *                 constraints materialized as pairwise predicates
   * @param negs     negation checks to attach (§5.3)
-  * @param stats    planning statistics over `positive` element positions
-  *                 (KL-rewritten rates, §5.2)
+  * @param model    the cost model the branch was planned with: its statistics
+  *                 over `positive` element positions (KL-rewritten rates,
+  *                 §5.2), strategy, α and temporally last element
   * @param plan     order-based or tree-based evaluation plan
   * @param cost     model cost of `plan` under the requested objective
   * @param genNanos wall time spent inside the planning algorithm
@@ -47,15 +48,13 @@ object Algo {
 final case class PlannedBranch(
     positive: SimplePattern,
     negs: Vector[NegSpec],
-    stats: Stats,
-    strategy: Strategy,
-    alpha: Double,
-    lastElem: Option[Int],
+    model: CostModel,
     plan: Either[OrderPlan, TreePlan],
     cost: Double,
     genNanos: Long,
 ) extends Serializable {
-  def costModel: CostModel = new CostModel(stats, strategy, alpha, lastElem)
+  /** The plan as a tree: an order plan as its left-deep tree (Theorem 1). */
+  def tree: TreePlan = plan.fold(TreePlan.leftDeep, identity)
 }
 
 /** Facade: pattern → rewrites (§5) → statistics → plan (§7.1 algorithm). */
@@ -74,14 +73,6 @@ object Planner {
     for (k <- 0 until n; i <- 0 until n; j <- 0 until n)
       if (before(i)(k) && before(k)(j)) before(i)(j) = true
     (0 until n).find(j => (0 until n).forall(i => i == j || before(i)(j)))
-  }
-
-  /** Normalize one simple pattern: contiguity predicates (if requested), SEQ→AND,
-    * negation split.
-    */
-  private def normalize(sp0: SimplePattern, strategy: Strategy): (SimplePattern, Vector[NegSpec]) = {
-    val sp1 = if (strategy == Contiguity && sp0.op == SEQ) Rewrites.contiguityPreds(sp0) else sp0
-    Rewrites.splitNegation(Rewrites.seqToAnd(sp1))
   }
 
   /** Planning statistics for a normalized positive pattern: measured rates with
@@ -110,6 +101,22 @@ object Planner {
     case DP_B        => Right(TreeAlgos.dpBushy(cm))
   }
 
+  /** Build one planned branch: normalize a simple pattern (contiguity
+    * predicates if requested, SEQ→AND, negation split, §5), measure its
+    * statistics, build its cost model, time `choose` on that model and cost
+    * the plan it returns. The one place a branch is planned.
+    */
+  def branch(sp: SimplePattern, provider: StatsProvider, strategy: Strategy, alpha: Double)(
+      choose: CostModel => Either[OrderPlan, TreePlan]): PlannedBranch = {
+    val sp1 = if (strategy == Contiguity && sp.op == SEQ) Rewrites.contiguityPreds(sp) else sp
+    val (positive, negs) = Rewrites.splitNegation(Rewrites.seqToAnd(sp1))
+    val cm = new CostModel(buildStats(positive, provider), strategy, alpha, lastTemporalElem(positive))
+    val t0 = System.nanoTime()
+    val plan = choose(cm)
+    val dt = System.nanoTime() - t0
+    PlannedBranch(positive, negs, cm, plan, plan.fold(cm.orderCost, cm.treeCost), dt)
+  }
+
   /** Plan one simple (non-OR) pattern. */
   def planSimple(
       sp: SimplePattern,
@@ -117,17 +124,7 @@ object Planner {
       algo: Algo,
       strategy: Strategy = AnyMatch,
       alpha: Double = 0.0,
-  ): PlannedBranch = {
-    val (positive, negs) = normalize(sp, strategy)
-    val stats = buildStats(positive, provider)
-    val last = lastTemporalElem(positive)
-    val cm = new CostModel(stats, strategy, alpha, last)
-    val t0 = System.nanoTime()
-    val plan = runAlgo(algo, cm)
-    val dt = System.nanoTime() - t0
-    val cost = plan.fold(cm.orderCost, cm.treeCost)
-    PlannedBranch(positive, negs, stats, strategy, alpha, last, plan, cost, dt)
-  }
+  ): PlannedBranch = branch(sp, provider, strategy, alpha)(runAlgo(algo, _))
 
   /** Plan a (possibly nested) pattern: DNF into conjunctive branches (§5.4), one
     * independently planned branch per disjunct. The detection result is the

@@ -25,14 +25,6 @@ final case class Stats(rates: Vector[Double], sel: Vector[Vector[Double]], windo
     * `W · r_i · sel_{i,i}` — the cardinality `|R_i|` of the reduction (Thm 1).
     */
   def card(i: Int): Double = window * rates(i) * sel(i)(i)
-
-  /** Returns a copy with `sel(i)(j)` (and its mirror) multiplied by `s`. */
-  def timesSel(i: Int, j: Int, s: Double): Stats = {
-    val m = sel.map(_.toArray).toArray
-    m(i)(j) *= s
-    if (i != j) m(j)(i) *= s
-    copy(sel = m.map(_.toVector).toVector)
-  }
 }
 
 object Stats {
@@ -41,8 +33,8 @@ object Stats {
     Stats(rates, Vector.fill(rates.size, rates.size)(1.0), window)
 
   /** Build from a list of (i, j, selectivity) predicates over unconstrained
-    * stats: each multiplies `sel(i)(j)` and its mirror, in list order, as
-    * folding `timesSel` over them would, into one matrix.
+    * stats: each multiplies `sel(i)(j)` and its mirror, in list order, into
+    * one matrix.
     */
   def fromPreds(rates: Vector[Double], window: Double, preds: Seq[(Int, Int, Double)]): Stats = {
     val n = rates.size

@@ -92,8 +92,7 @@ object JoinPlanRunner {
   def run(events: DataFrame, branch: PlannedBranch): DataFrame = {
     val positive = branch.positive
     require(branch.negs.isEmpty && positive.isPure, "join runner supports pure patterns")
-    val plan = branch.plan.fold(TreePlan.leftDeep, identity)
-    val (df, _) = buildTree(events, positive, plan)
+    val (df, _) = buildTree(events, positive, branch.tree)
     df.select(positive.elems.indices.map(i => col(s"e${i}_serial")): _*)
   }
 
@@ -101,8 +100,7 @@ object JoinPlanRunner {
     * the `Cost_LDJ`/`Cost_BJ` node cardinalities (Theorems 1 and 2).
     */
   def intermediateCounts(events: DataFrame, branch: PlannedBranch): Vector[(Set[Int], Long)] = {
-    val plan = branch.plan.fold(TreePlan.leftDeep, identity)
-    val (_, inters) = buildTree(events, branch.positive, plan)
+    val (_, inters) = buildTree(events, branch.positive, branch.tree)
     inters.map { case (s, df) => (s, df.count()) }
   }
 }

@@ -61,7 +61,7 @@ object SegmentedRunner {
     val w = branch.positive.window
     val L = if (segLen > 0) segLen else 2.0 * w
     require(L >= w, s"segment length $L must be at least the window $w")
-    require(branch.strategy != NextMatch,
+    require(branch.model.strategy != NextMatch,
       "SegmentedRunner does not support skip-till-next-match: each segment would keep its own " +
         "consumed events, so an event could serve a match in two segments")
     val segmented = withSegments(events, L, w)

@@ -183,11 +183,11 @@ object Tables {
         seed = 5000L * pid + size)
       val sp = SimplePattern(SEQ, pattern.leaves, pattern.preds, pattern.window)
       val base = Planner.planSimple(sp, provider, DP_LD)
-      val latScale = base.stats.rates.sum * base.stats.window
+      val latScale = base.model.stats.rates.sum * base.model.stats.window
       val alphaEff = alpha * base.cost / math.max(latScale, 1e-9)
       val branch = Planner.planSimple(sp, provider, algo, AnyMatch, alphaEff)
       val r = BenchWorld.execute(events, Vector(branch), SequenceCat.name, size, algo)
-      val cm = branch.costModel
+      val cm = branch.model
       LatPoint(algo, alpha, r.throughput, r.latencyMicros, branch.plan.fold(cm.orderLatency, cm.treeLatency))
     }
     val rows = for (a <- Algo.jqpgAlgos; al <- t6Alphas) yield {

@@ -2,6 +2,7 @@ package repro.cep
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import repro.core.TestData.StatsOps
 import EngineTestKit._
 import scala.util.Random
 

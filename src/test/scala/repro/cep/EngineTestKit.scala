@@ -21,26 +21,14 @@ object EngineTestKit {
       sp: SimplePattern,
       order: Vector[Int],
       strategy: Strategy = AnyMatch,
-  ): PlannedBranch = {
-    val sp1 = if (strategy == Contiguity && sp.op == SEQ) Rewrites.contiguityPreds(sp) else sp
-    val (pos, negs) = Rewrites.splitNegation(Rewrites.seqToAnd(sp1))
-    val stats = Planner.buildStats(pos, provider)
-    PlannedBranch(pos, negs, stats, strategy, 0.0, Planner.lastTemporalElem(pos),
-      Left(OrderPlan(order)), 0.0, 0L)
-  }
+  ): PlannedBranch = Planner.branch(sp, provider, strategy, 0.0)(_ => Left(OrderPlan(order)))
 
   /** Normalize a simple pattern and attach an explicit tree plan. */
   def treeBranch(
       sp: SimplePattern,
       tree: TreePlan,
       strategy: Strategy = AnyMatch,
-  ): PlannedBranch = {
-    val sp1 = if (strategy == Contiguity && sp.op == SEQ) Rewrites.contiguityPreds(sp) else sp
-    val (pos, negs) = Rewrites.splitNegation(Rewrites.seqToAnd(sp1))
-    val stats = Planner.buildStats(pos, provider)
-    PlannedBranch(pos, negs, stats, strategy, 0.0, Planner.lastTemporalElem(pos),
-      Right(tree), 0.0, 0L)
-  }
+  ): PlannedBranch = Planner.branch(sp, provider, strategy, 0.0)(_ => Right(tree))
 
   def runNfa(sp: SimplePattern, order: Vector[Int], events: Seq[Event],
              strategy: Strategy = AnyMatch, config: EngineConfig = EngineConfig()): RunResult =

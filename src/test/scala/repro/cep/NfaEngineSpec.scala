@@ -4,7 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import EngineTestKit._
 
-/** Order-based engine semantics (§2.2, §5, §6.2) on hand-built streams. */
+/** Order plans on [[TreeEngine]], each run as its left-deep tree (Theorem 1):
+  * the lazy-NFA semantics of §2.2, §5 and §6.2 on hand-built streams.
+  */
 class NfaEngineSpec extends AnyFunSuite {
 
   private val seq3 = SimplePattern(SEQ, elems(3), Vector.empty, 10.0)

@@ -24,14 +24,14 @@ class PlannerSpec extends AnyFunSuite {
     val b = Planner.planSimple(sp, provider, TRIVIAL)
     assert(b.positive.op == AND)
     assert(b.positive.preds.count(_.op == TsLess) == 3)
-    assert(b.lastElem.contains(2))
+    assert(b.model.lastElem.contains(2))
   }
 
   test("AND patterns have no temporally-last element (latency cost 0)") {
     val sp = SimplePattern(AND, elems(3), Vector.empty, 1.0)
     val b = Planner.planSimple(sp, provider, DP_LD, alpha = 1.0)
-    assert(b.lastElem.isEmpty)
-    assert(b.costModel.orderLatency(b.plan.swap.getOrElse(fail())) == 0.0)
+    assert(b.model.lastElem.isEmpty)
+    assert(b.model.orderLatency(b.plan.swap.getOrElse(fail())) == 0.0)
   }
 
   test("negated elements are stripped into NegSpecs before planning") {
@@ -46,7 +46,7 @@ class PlannerSpec extends AnyFunSuite {
   test("Kleene rates flow into the planning statistics") {
     val sp = SimplePattern(SEQ, elems(3, klAt = Set(1)), Vector.empty, 2.0)
     val b = Planner.planSimple(sp, provider, DP_LD)
-    assert(b.stats.rates(1) == Rewrites.kleeneRate(3.0, 2.0))
+    assert(b.model.stats.rates(1) == Rewrites.kleeneRate(3.0, 2.0))
     // huge KL rate => planned last
     assert(b.plan.swap.getOrElse(fail()).order.last == 1)
   }
@@ -55,7 +55,7 @@ class PlannerSpec extends AnyFunSuite {
     val sp = SimplePattern(SEQ, elems(3), Vector.empty, 1.0)
     val b = Planner.planSimple(sp, provider, DP_LD, strategy = Contiguity)
     assert(b.positive.preds.count(_.op == SerialSucc) == 2)
-    assert(b.strategy == Contiguity)
+    assert(b.model.strategy == Contiguity)
   }
 
   test("nested disjunction plans one branch per disjunct") {
@@ -85,8 +85,8 @@ class PlannerSpec extends AnyFunSuite {
     }
     val b0 = Planner.planSimple(sp, skewed, DP_LD, alpha = 0.0)
     val b1 = Planner.planSimple(sp, skewed, DP_LD, alpha = 1e9)
-    assert(b0.alpha == 0.0 && b1.alpha == 1e9)
-    val cm = b1.costModel
+    assert(b0.model.alpha == 0.0 && b1.model.alpha == 1e9)
+    val cm = b1.model
     assert(cm.orderLatency(b1.plan.swap.getOrElse(fail())) <=
       cm.orderLatency(b0.plan.swap.getOrElse(fail())))
     assert(b1.plan.swap.getOrElse(fail()).order.last == 3)

@@ -1,12 +1,15 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TestData.StatsOps
 import repro.data._
 import scala.util.Random
 
 /** Exactness of the planning set-up: `Planner.buildStats` equals the
-  * per-predicate `timesSel` fold, and the array-scored II descent returns the
-  * order of the descent that builds an `OrderPlan` per move.
+  * per-predicate `timesSel` fold, the array-scored II descent returns the
+  * order of the descent that builds an `OrderPlan` per move, and the one
+  * branch builder plans, measures and costs exactly as normalizing, building a
+  * fresh model per call and summing the costs by their definitions does.
   */
 class PlanningExactSpec extends AnyFunSuite {
   import PlanningExactSpec._
@@ -46,7 +49,7 @@ class PlanningExactSpec extends AnyFunSuite {
     } {
       val p = PatternGen.generate(cat, size, nTypes, provider, seed)
       Planner.plan(p, provider, TRIVIAL, strategy).foreach { b =>
-        assert(b.stats == foldStats(b.positive, provider), s"$cat n=$size seed $seed $strategy")
+        assert(b.model.stats == foldStats(b.positive, provider), s"$cat n=$size seed $seed $strategy")
         if (b.negs.nonEmpty) seen += "negation"
         if (b.positive.elems.exists(_.kleene)) seen += "Kleene"
         if (b.positive.preds.exists(_.op == SerialSucc)) seen += "contiguity"
@@ -77,10 +80,129 @@ class PlanningExactSpec extends AnyFunSuite {
       assert(OrderAlgos.iiGreedy(cm) == OrderPlan(oldDescend(cm, OrderAlgos.greedy(cm).order)), label)
     }
   }
+
+  test("Planner.plan equals normalizing and planning each branch on a fresh model, bit for bit") {
+    var checked = 0
+    for {
+      cat <- Category.all
+      size <- 3 to 7
+      seed <- 0L until 2L
+      strategy <- Seq(AnyMatch, NextMatch, Contiguity) if strategy != Contiguity || cat == SequenceCat
+      alpha <- Seq(0.0, 0.7)
+    } {
+      val p = PatternGen.generate(cat, size, nTypes, provider, seed)
+      for (algo <- Algo.all) {
+        val label = s"$cat n=$size seed $seed $strategy alpha=$alpha $algo"
+        val got = Planner.plan(p, provider, algo, strategy, alpha)
+        val want = oldPlan(p, provider, algo, strategy, alpha)
+        assert(got.size == want.size, label)
+        got.zip(want).foreach { case (b, o) =>
+          assert(b.positive == o.positive && b.negs == o.negs, label)
+          assert(b.model.stats == o.stats && b.model.lastElem == o.lastElem, label)
+          assert(b.model.strategy == strategy && b.model.alpha == alpha, label)
+          assert(b.plan == o.plan, label)
+          assert(bits(b.cost) == bits(o.cost), s"$label: ${b.cost} vs ${o.cost}")
+          checked += 1
+        }
+      }
+    }
+    assert(checked > 2000)
+  }
+
+  test("CostModel: pm of every mask and treeCost of every tree equal their definitions, bit for bit") {
+    val rnd = new Random(33)
+    for (round <- 0 until 24) {
+      val n = 3 + round % 3
+      val stats = TestData.randomStats(n, rnd)
+      val strategy = if (round % 2 == 0) AnyMatch else NextMatch
+      val cm = new CostModel(stats, strategy, alpha = 0.25 + rnd.nextDouble(), lastElem = Some(rnd.nextInt(n)))
+      val label = s"round $round n=$n $strategy"
+      for (mask <- 1 until (1 << n))
+        assert(bits(cm.pm(mask)) == bits(pmByDefinition(stats, strategy, mask)), s"$label mask $mask")
+      for (t <- PlanOracles.enumerate((0 until n).toVector)) {
+        assert(t.mask == t.leaves.map(1 << _).sum, s"$label $t")
+        assert(bits(cm.treeCost(t)) == bits(treeCostByDefinition(cm, t)), s"$label $t")
+      }
+      for (o <- (0 until n).toVector.permutations)
+        assert(bits(cm.orderCost(OrderPlan(o))) == bits(orderCostByDefinition(cm, o)), s"$label $o")
+    }
+  }
 }
 
 /** The planning code the exactness tests compare against, kept as oracles. */
 object PlanningExactSpec {
+
+  def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
+
+  /** One branch as the oracle plans it. */
+  final case class OldBranch(positive: SimplePattern, negs: Vector[NegSpec], stats: Stats,
+                             lastElem: Option[Int], plan: Either[OrderPlan, TreePlan], cost: Double)
+
+  /** `Planner.plan` written out: DNF, then per branch the normalization
+    * (contiguity predicates, SEQ→AND, negation split), `buildStats`,
+    * `lastTemporalElem`, a fresh `CostModel`, the algorithm, and the plan's
+    * cost summed by its definition.
+    */
+  def oldPlan(p: Pattern, provider: StatsProvider, algo: Algo, strategy: Strategy,
+              alpha: Double): Vector[OldBranch] = {
+    val simple = p.root match {
+      case OpNode(op, children) if op != OR && children.forall(_.isInstanceOf[LeafNode]) =>
+        Vector(SimplePattern(op, p.leaves, p.preds, p.window))
+      case _ => Rewrites.dnf(p)
+    }
+    simple.map { sp =>
+      val sp1 = if (strategy == Contiguity && sp.op == SEQ) Rewrites.contiguityPreds(sp) else sp
+      val (positive, negs) = Rewrites.splitNegation(Rewrites.seqToAnd(sp1))
+      val stats = Planner.buildStats(positive, provider)
+      val last = Planner.lastTemporalElem(positive)
+      val cm = new CostModel(stats, strategy, alpha, last)
+      val plan: Either[OrderPlan, TreePlan] = algo match {
+        case TRIVIAL     => Left(OrderAlgos.trivial(cm.n))
+        case EFREQ       => Left(OrderAlgos.efreq(cm.stats))
+        case GREEDY      => Left(OrderAlgos.greedy(cm))
+        case II_RANDOM   => Left(OrderAlgos.iiRandom(cm))
+        case II_GREEDY   => Left(OrderAlgos.iiGreedy(cm))
+        case DP_LD       => Left(OrderAlgos.dpLeftDeep(cm))
+        case ZSTREAM     => Right(TreeAlgos.zstream(cm, (0 until cm.n).toVector))
+        case ZSTREAM_ORD => Right(TreeAlgos.zstreamOrd(cm))
+        case DP_B        => Right(TreeAlgos.dpBushy(cm))
+      }
+      val cost = plan.fold(o => orderCostByDefinition(cm, o.order), t => treeCostByDefinition(cm, t))
+      OldBranch(positive, negs, stats, last, plan, cost)
+    }
+  }
+
+  /** `Cost_ord`: the order's steps summed front to back. */
+  def orderCostByDefinition(cm: CostModel, order: Vector[Int]): Double =
+    order.foldLeft((0, 0.0)) { case ((mask, c), e) =>
+      (mask | (1 << e), c + cm.orderStep(mask | (1 << e), e))
+    }._2
+
+  /** `Cost_tree`: left subtree, right subtree, then the node, with each node's
+    * mask recomputed from its leaves.
+    */
+  def treeCostByDefinition(cm: CostModel, t: TreePlan): Double = t match {
+    case LeafPlan(e) => cm.pm(1 << e)
+    case NodePlan(l, r) =>
+      val (lm, rm) = (l.leaves.map(1 << _).sum, r.leaves.map(1 << _).sum)
+      treeCostByDefinition(cm, l) + treeCostByDefinition(cm, r) + cm.treeCombine(lm, rm)
+  }
+
+  /** `PM(S)` computed from `Stats` directly (§4.1, §6.2), in the model's
+    * multiplication order.
+    */
+  def pmByDefinition(s: Stats, strategy: Strategy, mask: Int): Double = {
+    val in = (0 until s.n).filter(i => (mask & (1 << i)) != 0)
+    if (strategy == AnyMatch) {
+      val p = in.foldLeft(1.0)((acc, i) => acc * s.card(i))
+      val sp = (for (a <- in; b <- in if b > a) yield (a, b)).foldLeft(1.0) { case (acc, (a, b)) => acc * s.sel(a)(b) }
+      p * sp
+    } else {
+      val mn = in.foldLeft(Double.MaxValue)((acc, i) => math.min(acc, s.rates(i)))
+      val sp = (for (a <- in; b <- in if b >= a) yield (a, b)).foldLeft(1.0) { case (acc, (a, b)) => acc * s.sel(a)(b) }
+      s.window * mn * sp
+    }
+  }
 
   /** `Planner.buildStats` as a fold of `timesSel`, one matrix copy per predicate. */
   def foldStats(positive: SimplePattern, provider: StatsProvider): Stats = {

@@ -27,6 +27,20 @@ object TestData {
     Stats.fromPreds(rates, window, preds)
   }
 
+  /** The per-predicate selectivity update: `PlanningExactSpec` checks
+    * `Stats.fromPreds` against a fold of it, and `CostValidationSpec` builds
+    * its known statistics with it.
+    */
+  implicit final class StatsOps(private val s: Stats) extends AnyVal {
+    /** Returns a copy with `sel(i)(j)` (and its mirror) multiplied by `f`. */
+    def timesSel(i: Int, j: Int, f: Double): Stats = {
+      val m = s.sel.map(_.toArray).toArray
+      m(i)(j) *= f
+      if (i != j) m(j)(i) *= f
+      s.copy(sel = m.map(_.toVector).toVector)
+    }
+  }
+
   /** A constant statistics provider for engine tests (measured stats are
     * irrelevant when the plan is fixed by hand).
     */

@@ -78,7 +78,7 @@ class PatternGenSpec extends SparkSpec {
       branches.foreach { b =>
         assert(b.plan.isLeft == algo.orderBased)
         assert(b.cost > 0.0)
-        assert(b.stats.n == b.positive.size)
+        assert(b.model.stats.n == b.positive.size)
       }
     }
   }

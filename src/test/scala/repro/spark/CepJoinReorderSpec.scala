@@ -39,14 +39,14 @@ class CepJoinReorderSpec extends SparkSpec {
       Vector(Elem(0, "T0"), Elem(1, "T1"), Elem(2, "T2"), Elem(3, "T3")),
       Vector(Pred(0, 3, AttrCmp(0, 1.0, less = true))), 1.0)
     val branch = Planner.planSimple(sp, provider, TRIVIAL)
-    val cm = branch.costModel
+    val cm = branch.model
     val expected = OrderAlgos.dpLeftDeep(cm).order
     assert(expected != Vector(0, 1, 2, 3), "statistics should make the trivial order sub-optimal")
 
     val out = JoinPlanRunner.run(df, branch)
     val plain = out.collect().map(_.toSeq).toSet
     withRule {
-      CepStatsRegistry.withStats(branch.stats) {
+      CepStatsRegistry.withStats(branch.model.stats) {
         val reordered = JoinPlanRunner.run(df, branch)
         assert(leafOrder(reordered.queryExecution.optimizedPlan) == expected)
         assert(reordered.collect().map(_.toSeq).toSet == plain)
@@ -65,7 +65,7 @@ class CepJoinReorderSpec extends SparkSpec {
       Vector(Pred(0, 2, AttrCmp(0, 0.5, less = true))), 1.0)
     val branch = Planner.planSimple(sp, provider, TRIVIAL)
     withRule {
-      CepStatsRegistry.withStats(branch.stats) {
+      CepStatsRegistry.withStats(branch.model.stats) {
         val out = JoinPlanRunner.run(df, branch)
         val tables = branch.positive.elems.indices.map { i =>
           s"t$i" -> df.filter(org.apache.spark.sql.functions.col("typeId") === branch.positive.elems(i).typeId)
@@ -81,7 +81,7 @@ class CepJoinReorderSpec extends SparkSpec {
       Vector(Pred(0, 3, AttrCmp(0, 1.0, less = true))), 1.0)
     val branches = Vector(Vector(0, 1, 2, 3), Vector(5, 4, 2, 1))
       .map(types => Planner.planSimple(sp(types), provider, TRIVIAL))
-    val expected = branches.map(b => OrderAlgos.dpLeftDeep(b.costModel).order)
+    val expected = branches.map(b => OrderAlgos.dpLeftDeep(b.model).order)
     assert(expected.distinct.size == 2 && !expected.contains(Vector(0, 1, 2, 3)),
       s"the two patterns should have distinct, non-trivial DP-LD orders: $expected")
 
@@ -90,7 +90,7 @@ class CepJoinReorderSpec extends SparkSpec {
     withRule {
       val orders = new Array[Vector[Int]](2)
       val threads = branches.indices.map { k =>
-        new Thread(() => CepStatsRegistry.withStats(branches(k).stats) {
+        new Thread(() => CepStatsRegistry.withStats(branches(k).model.stats) {
           bothRegistered.await()
           orders(k) = leafOrder(JoinPlanRunner.run(df, branches(k)).queryExecution.optimizedPlan)
         })

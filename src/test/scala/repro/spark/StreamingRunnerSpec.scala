@@ -56,10 +56,7 @@ class StreamingRunnerSpec extends SparkSpec {
   test("out-of-order plan (rare type first) detects the same streaming matches") {
     val sp = SimplePattern(SEQ, Vector(Elem(0, "T0"), Elem(1, "T1"), Elem(3, "T3")),
       Vector.empty, 1.0)
-    val (pos, negs) = Rewrites.splitNegation(Rewrites.seqToAnd(sp))
-    val stats = Planner.buildStats(pos, provider)
-    val branch = PlannedBranch(pos, negs, stats, AnyMatch, 0.0, Planner.lastTemporalElem(pos),
-      Left(OrderPlan(Vector(2, 0, 1))), 0.0, 0L)
+    val branch = Planner.branch(sp, provider, AnyMatch, 0.0)(_ => Left(OrderPlan(Vector(2, 0, 1))))
     assert(runStreaming(branch, "m4") == runBatch(branch))
   }
 }
