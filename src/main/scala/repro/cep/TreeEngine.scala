@@ -265,30 +265,12 @@ final class TreeEngine(branch: PlannedBranch, config: EngineConfig = EngineConfi
   /** Release a non-dead partial match that a scan found expired. */
   private def expire(pm: PartialMatch): Unit = { pm.dead = true; liveCount -= 1 }
 
-  /** Every `1 << 10` events: release expired and dead entries of all lists. */
+  /** Every `1 << 10` events: release expired and dead entries of all lists
+    * (the root's list stays empty: `record` emits root instances).
+    */
   private def sweep(): Unit = {
-    val cutoff = now - W
-    var l = 0
-    while (l < lists.length) {
-      val list = lists(l)
-      val sz = list.size
-      var gone = 0 // released entries before the first kept one
-      var kept = 0 // kept entries, moved up to follow the `gone` prefix
-      var i = 0
-      while (i < sz) {
-        val pm = list(i)
-        if (!pm.dead && pm.minTs >= cutoff) {
-          if (gone + kept != i) list(gone + kept) = pm
-          kept += 1
-        } else {
-          if (!pm.dead) expire(pm)
-          if (kept == 0) gone += 1
-        }
-        i += 1
-      }
-      list.keep(gone, kept, sz)
-      l += 1
-    }
+    var l = 1
+    while (l < lists.length) { scan(l, null, null); l += 1 }
   }
 
   private def minTsOf(value: AnyRef): Double = value match {

@@ -51,108 +51,68 @@ final class CostModel(
 
   private def nextLike: Boolean = strategy != AnyMatch
 
-  // Optional precomputed pm table over all 2^n masks, built incrementally in
-  // O(2^n·n) via the lowest-bit recurrence. The DP planners trigger it (n=22 ⇒
-  // 4M entries, ~32 MB, ~100M ops — the Fig 17 scale); direct evaluation is
-  // kept for one-off queries.
+  /** `Π_{j∈set, ascending} sel_ij`, from 1. */
+  private def selRow(i: Int, set: Int): Double = {
+    var p = 1.0
+    var rest = set
+    while (rest != 0) { p *= selA(i)(java.lang.Integer.numberOfTrailingZeros(rest)); rest &= rest - 1 }
+    p
+  }
+
+  /** The one `PM(S)` recurrence: extend `rest` by `i`, below all its members.
+    * `v` is `PM(rest)` under skip-till-any and `Π_{a≤b∈rest} sel_ab` under
+    * skip-till-next, whose `PM` is `W·min r·v` ([[nextPm]]); 1 for the empty set.
+    */
+  private def step(v: Double, i: Int, rest: Int): Double =
+    if (nextLike) v * selRow(i, rest | (1 << i)) else v * card(i) * selRow(i, rest)
+
+  private def nextPm(minRate: Double, selP: Double): Double = W * minRate * selP
+
+  // Optional table of pm over all 2^n masks: `step` applied in ascending mask
+  // order, each mask extending itself without its lowest bit, so it caches
+  // exactly what `pm` folds. The DP planners trigger it (n=22 ⇒ 4M entries,
+  // ~32 MB, ~100M ops — the Fig 17 scale); one-off queries fold directly.
   @transient private var tabRef: Array[Double] = _
 
   /** Build (once) the full pm table; no-op when n > 24. */
   def ensureTable(): Unit = if (tabRef == null && n <= 24) {
     val size = 1 << n
     val t = new Array[Double](size)
-    if (!nextLike) {
-      var i = 0
-      while (i < n) { t(1 << i) = card(i); i += 1 }
-      var mask = 1
-      while (mask < size) {
-        if (java.lang.Integer.bitCount(mask) >= 2) {
-          val lb = java.lang.Integer.numberOfTrailingZeros(mask)
-          val prev = mask & (mask - 1)
-          var selProdLb = 1.0
-          var j = 0
-          var rest = prev
-          while (rest != 0) {
-            j = java.lang.Integer.numberOfTrailingZeros(rest)
-            selProdLb *= selA(lb)(j)
-            rest &= rest - 1
-          }
-          t(mask) = t(prev) * card(lb) * selProdLb
-        }
-        mask += 1
-      }
-    } else {
-      val selP = new Array[Double](size)
-      val minR = new Array[Double](size)
-      var i = 0
-      while (i < n) {
-        selP(1 << i) = selA(i)(i); minR(1 << i) = rate(i)
-        t(1 << i) = W * minR(1 << i) * selP(1 << i)
-        i += 1
-      }
-      var mask = 1
-      while (mask < size) {
-        if (java.lang.Integer.bitCount(mask) >= 2) {
-          val lb = java.lang.Integer.numberOfTrailingZeros(mask)
-          val prev = mask & (mask - 1)
-          var p = selA(lb)(lb)
-          var rest = prev
-          while (rest != 0) {
-            val j = java.lang.Integer.numberOfTrailingZeros(rest)
-            p *= selA(lb)(j)
-            rest &= rest - 1
-          }
-          selP(mask) = selP(prev) * p
-          minR(mask) = math.min(minR(prev), rate(lb))
-          t(mask) = W * minR(mask) * selP(mask)
-        }
-        mask += 1
-      }
+    val minR = if (nextLike) new Array[Double](size) else null
+    t(0) = 1.0
+    if (nextLike) minR(0) = Double.MaxValue
+    var mask = 1
+    while (mask < size) {
+      val lb = java.lang.Integer.numberOfTrailingZeros(mask)
+      val prev = mask & (mask - 1)
+      t(mask) = step(t(prev), lb, prev)
+      if (nextLike) minR(mask) = math.min(minR(prev), rate(lb))
+      mask += 1
+    }
+    if (nextLike) {
+      mask = 1
+      while (mask < size) { t(mask) = nextPm(minR(mask), t(mask)); mask += 1 }
     }
     tabRef = t
   }
 
-  /** Π of selectivities `sel_{i,j}` over all pairs i ≤ j inside the mask. */
-  private def selProd(mask: Int): Double = {
-    var p = 1.0
-    var i = 0
-    while (i < n) {
-      if ((mask & (1 << i)) != 0) {
-        p *= selA(i)(i)
-        var j = i + 1
-        while (j < n) {
-          if ((mask & (1 << j)) != 0) p *= selA(i)(j)
-          j += 1
-        }
-      }
-      i += 1
-    }
-    p
-  }
-
-  /** Expected number of live partial matches for element set `mask` (strategy aware). */
+  /** Expected number of live partial matches for element set `mask` (strategy
+    * aware): the table entry, or `step` folded from the highest element down.
+    */
   def pm(mask: Int): Double =
     if (mask == 0) 0.0
     else if (tabRef != null) tabRef(mask)
-    else if (!nextLike) {
-      var p = 1.0
-      var i = 0
-      while (i < n) { if ((mask & (1 << i)) != 0) p *= card(i); i += 1 }
-      var sp = 1.0
-      var a = 0
-      while (a < n) {
-        if ((mask & (1 << a)) != 0) {
-          var b = a + 1
-          while (b < n) { if ((mask & (1 << b)) != 0) sp *= selA(a)(b); b += 1 }
-        }
-        a += 1
-      }
-      p * sp
-    } else {
+    else {
+      var v = 1.0
       var mn = Double.MaxValue
-      var i = 0
-      while (i < n) { if ((mask & (1 << i)) != 0) mn = math.min(mn, rate(i)); i += 1 }
-      W * mn * selProd(mask)
+      var rest = 0
+      while (rest != mask) {
+        val i = 31 - java.lang.Integer.numberOfLeadingZeros(mask & ~rest)
+        v = step(v, i, rest)
+        mn = math.min(mn, rate(i))
+        rest |= 1 << i
+      }
+      if (nextLike) nextPm(mn, v) else v
     }
 
   /** Per-step weight applied by `Cost_ord`: the paper's `Cost_ord^next` sums

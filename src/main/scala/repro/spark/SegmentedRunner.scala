@@ -64,9 +64,7 @@ object SegmentedRunner {
     require(branch.model.strategy != NextMatch,
       "SegmentedRunner does not support skip-till-next-match: each segment would keep its own " +
         "consumed events, so an event could serve a match in two segments")
-    val segmented = withSegments(events, L, w)
-    segmented
-      .select(col("seg"), col("typeId"), col("ts"), col("serial"), col("diff"), col("price"))
+    withSegments(events, L, w)
       .as[(Long, Int, Double, Long, Double, Double)]
       .groupByKey(_._1)
       .flatMapGroups { (seg, rows) =>

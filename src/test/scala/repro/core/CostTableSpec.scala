@@ -4,13 +4,13 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 /** The precomputed PM table (used by the DP planners at Fig 17 scale) must be
-  * indistinguishable from direct evaluation for every mask, strategy, and
-  * downstream cost function.
+  * indistinguishable from direct evaluation, bit for bit, for every mask,
+  * strategy, and downstream cost function.
   */
 class CostTableSpec extends AnyFunSuite {
+  import PlanningExactSpec.{bits, pmByDefinition}
 
-  private def approx(a: Double, b: Double): Boolean =
-    math.abs(a - b) <= 1e-9 * math.max(1.0, math.max(math.abs(a), math.abs(b)))
+  private def same(a: Double, b: Double): Boolean = bits(a) == bits(b)
 
   test("table pm equals direct pm for every mask (skip-till-any)") {
     val rnd = new Random(81)
@@ -21,7 +21,7 @@ class CostTableSpec extends AnyFunSuite {
       val tabled = new CostModel(s)
       tabled.ensureTable()
       for (mask <- 0 until (1 << n))
-        assert(approx(direct.pm(mask), tabled.pm(mask)), s"mask=$mask n=$n")
+        assert(same(direct.pm(mask), tabled.pm(mask)), s"mask=$mask n=$n")
     }
   }
 
@@ -34,7 +34,7 @@ class CostTableSpec extends AnyFunSuite {
       val tabled = new CostModel(s, strategy = NextMatch)
       tabled.ensureTable()
       for (mask <- 0 until (1 << n))
-        assert(approx(direct.pm(mask), tabled.pm(mask)), s"mask=$mask n=$n")
+        assert(same(direct.pm(mask), tabled.pm(mask)), s"mask=$mask n=$n")
     }
   }
 
@@ -51,10 +51,10 @@ class CostTableSpec extends AnyFunSuite {
       val o = OrderPlan(rnd.shuffle((0 until n).toVector))
       val trees = PlanOracles.enumerate((0 until n).toVector)
       val t = trees(rnd.nextInt(trees.size))
-      assert(approx(direct.orderCost(o), tabled.orderCost(o)))
-      assert(approx(direct.treeCost(t), tabled.treeCost(t)))
-      assert(approx(direct.orderLatency(o), tabled.orderLatency(o)))
-      assert(approx(direct.treeLatency(t), tabled.treeLatency(t)))
+      assert(same(direct.orderCost(o), tabled.orderCost(o)))
+      assert(same(direct.treeCost(t), tabled.treeCost(t)))
+      assert(same(direct.orderLatency(o), tabled.orderLatency(o)))
+      assert(same(direct.treeLatency(t), tabled.treeLatency(t)))
     }
   }
 
@@ -66,17 +66,22 @@ class CostTableSpec extends AnyFunSuite {
       val a = new CostModel(s)
       val b = new CostModel(s)
       b.ensureTable()
-      assert(approx(a.orderCost(OrderAlgos.dpLeftDeep(a)), b.orderCost(OrderAlgos.dpLeftDeep(b))))
-      assert(approx(a.treeCost(TreeAlgos.dpBushy(a)), b.treeCost(TreeAlgos.dpBushy(b))))
-      assert(approx(a.orderCost(OrderAlgos.greedy(a)), b.orderCost(OrderAlgos.greedy(b))))
+      assert(same(a.orderCost(OrderAlgos.dpLeftDeep(a)), b.orderCost(OrderAlgos.dpLeftDeep(b))))
+      assert(same(a.treeCost(TreeAlgos.dpBushy(a)), b.treeCost(TreeAlgos.dpBushy(b))))
+      assert(same(a.orderCost(OrderAlgos.greedy(a)), b.orderCost(OrderAlgos.greedy(b))))
     }
   }
 
   test("a larger-than-24-element model refuses the table but still evaluates") {
     val rnd = new Random(85)
-    val s = TestData.randomStats(10, rnd)
-    val cm = new CostModel(s)
-    cm.ensureTable() // fine at n=10
-    assert(cm.pm(5) > 0)
+    val s = TestData.randomStats(25, rnd)
+    for (strategy <- Seq(AnyMatch, NextMatch)) {
+      val cm = new CostModel(s, strategy)
+      cm.ensureTable() // no-op at n=25
+      val masks = Seq(5, (1 << 25) - 1, 1 << 24) ++ Seq.fill(200)(1 + rnd.nextInt((1 << 25) - 1))
+      for (mask <- masks)
+        assert(same(cm.pm(mask), pmByDefinition(s, strategy, mask)), s"$strategy mask $mask")
+      assert(cm.pm(5) > 0)
+    }
   }
 }

@@ -7,9 +7,11 @@ import scala.util.Random
 
 /** Exactness of the planning set-up: `Planner.buildStats` equals the
   * per-predicate `timesSel` fold, the array-scored II descent returns the
-  * order of the descent that builds an `OrderPlan` per move, and the one
-  * branch builder plans, measures and costs exactly as normalizing, building a
-  * fresh model per call and summing the costs by their definitions does.
+  * order of the descent that builds an `OrderPlan` per move, the one branch
+  * builder plans, measures and costs exactly as normalizing, building a fresh
+  * model per call and summing the costs by their definitions does, and one
+  * model shared by all planners gives the plans and costs of fresh models,
+  * because its `pm` reads the same bits with and without the 2^n table.
   */
 class PlanningExactSpec extends AnyFunSuite {
   import PlanningExactSpec._
@@ -109,6 +111,43 @@ class PlanningExactSpec extends AnyFunSuite {
     assert(checked > 2000)
   }
 
+  test("one model shared by the nine planners, in either order, plans and costs as fresh models, bit for bit") {
+    var checked = 0
+    for {
+      cat <- Category.all
+      size <- 3 to 7
+      seed <- 0L until 2L
+      strategy <- Seq(AnyMatch, NextMatch, Contiguity) if strategy != Contiguity || cat == SequenceCat
+      alpha <- Seq(0.0, 0.7)
+      sp <- simpleBranches(PatternGen.generate(cat, size, nTypes, provider, seed))
+    } {
+      val fresh = Algo.all.map(algo => planAndCost(algo, normalize(sp, provider, strategy, alpha)._3))
+      for (order <- Seq(Algo.all, Algo.all.reverse)) {
+        val shared = normalize(sp, provider, strategy, alpha)._3
+        val got = order.map(algo => algo -> planAndCost(algo, shared)).toMap
+        Algo.all.zip(fresh).foreach { case (algo, (plan, cost)) =>
+          val label = s"$cat n=$size seed $seed $strategy alpha=$alpha $algo, order ${order.head} first"
+          assert(got(algo)._1 == plan, label)
+          assert(bits(got(algo)._2) == bits(cost), s"$label: ${got(algo)._2} vs $cost")
+          checked += 1
+        }
+      }
+    }
+    assert(checked > 4000)
+  }
+
+  test("CostModel: pm of every mask reads the same bits before and after ensureTable") {
+    val rnd = new Random(34)
+    for (round <- 0 until 40) {
+      val n = 1 + round % 12
+      val strategy = if (round % 2 == 0) AnyMatch else NextMatch
+      val cm = new CostModel(TestData.randomStats(n, rnd), strategy)
+      val before = (0 until (1 << n)).map(m => bits(cm.pm(m)))
+      cm.ensureTable()
+      assert((0 until (1 << n)).map(m => bits(cm.pm(m))) == before, s"round $round n=$n $strategy")
+    }
+  }
+
   test("CostModel: pm of every mask and treeCost of every tree equal their definitions, bit for bit") {
     val rnd = new Random(33)
     for (round <- 0 until 24) {
@@ -138,39 +177,54 @@ object PlanningExactSpec {
   final case class OldBranch(positive: SimplePattern, negs: Vector[NegSpec], stats: Stats,
                              lastElem: Option[Int], plan: Either[OrderPlan, TreePlan], cost: Double)
 
-  /** `Planner.plan` written out: DNF, then per branch the normalization
-    * (contiguity predicates, SEQ→AND, negation split), `buildStats`,
-    * `lastTemporalElem`, a fresh `CostModel`, the algorithm, and the plan's
-    * cost summed by its definition.
+  /** The simple patterns `Planner.plan` plans: the pattern itself when it is
+    * one flat operator, else its DNF branches.
+    */
+  def simpleBranches(p: Pattern): Vector[SimplePattern] = p.root match {
+    case OpNode(op, children) if op != OR && children.forall(_.isInstanceOf[LeafNode]) =>
+      Vector(SimplePattern(op, p.leaves, p.preds, p.window))
+    case _ => Rewrites.dnf(p)
+  }
+
+  /** One branch normalized (contiguity predicates, SEQ→AND, negation split)
+    * and modelled on a fresh `CostModel` over `buildStats` and
+    * `lastTemporalElem`.
+    */
+  def normalize(sp: SimplePattern, provider: StatsProvider, strategy: Strategy,
+                alpha: Double): (SimplePattern, Vector[NegSpec], CostModel) = {
+    val sp1 = if (strategy == Contiguity && sp.op == SEQ) Rewrites.contiguityPreds(sp) else sp
+    val (positive, negs) = Rewrites.splitNegation(Rewrites.seqToAnd(sp1))
+    val cm = new CostModel(Planner.buildStats(positive, provider), strategy, alpha,
+      Planner.lastTemporalElem(positive))
+    (positive, negs, cm)
+  }
+
+  /** The algorithm's plan on `cm`, and its cost summed by definition. */
+  def planAndCost(algo: Algo, cm: CostModel): (Either[OrderPlan, TreePlan], Double) = {
+    val plan: Either[OrderPlan, TreePlan] = algo match {
+      case TRIVIAL     => Left(OrderAlgos.trivial(cm.n))
+      case EFREQ       => Left(OrderAlgos.efreq(cm.stats))
+      case GREEDY      => Left(OrderAlgos.greedy(cm))
+      case II_RANDOM   => Left(OrderAlgos.iiRandom(cm))
+      case II_GREEDY   => Left(OrderAlgos.iiGreedy(cm))
+      case DP_LD       => Left(OrderAlgos.dpLeftDeep(cm))
+      case ZSTREAM     => Right(TreeAlgos.zstream(cm, (0 until cm.n).toVector))
+      case ZSTREAM_ORD => Right(TreeAlgos.zstreamOrd(cm))
+      case DP_B        => Right(TreeAlgos.dpBushy(cm))
+    }
+    (plan, plan.fold(o => orderCostByDefinition(cm, o.order), t => treeCostByDefinition(cm, t)))
+  }
+
+  /** `Planner.plan` written out: per simple branch, `normalize` on a fresh
+    * model, the algorithm, and the plan's cost summed by its definition.
     */
   def oldPlan(p: Pattern, provider: StatsProvider, algo: Algo, strategy: Strategy,
-              alpha: Double): Vector[OldBranch] = {
-    val simple = p.root match {
-      case OpNode(op, children) if op != OR && children.forall(_.isInstanceOf[LeafNode]) =>
-        Vector(SimplePattern(op, p.leaves, p.preds, p.window))
-      case _ => Rewrites.dnf(p)
+              alpha: Double): Vector[OldBranch] =
+    simpleBranches(p).map { sp =>
+      val (positive, negs, cm) = normalize(sp, provider, strategy, alpha)
+      val (plan, cost) = planAndCost(algo, cm)
+      OldBranch(positive, negs, cm.stats, cm.lastElem, plan, cost)
     }
-    simple.map { sp =>
-      val sp1 = if (strategy == Contiguity && sp.op == SEQ) Rewrites.contiguityPreds(sp) else sp
-      val (positive, negs) = Rewrites.splitNegation(Rewrites.seqToAnd(sp1))
-      val stats = Planner.buildStats(positive, provider)
-      val last = Planner.lastTemporalElem(positive)
-      val cm = new CostModel(stats, strategy, alpha, last)
-      val plan: Either[OrderPlan, TreePlan] = algo match {
-        case TRIVIAL     => Left(OrderAlgos.trivial(cm.n))
-        case EFREQ       => Left(OrderAlgos.efreq(cm.stats))
-        case GREEDY      => Left(OrderAlgos.greedy(cm))
-        case II_RANDOM   => Left(OrderAlgos.iiRandom(cm))
-        case II_GREEDY   => Left(OrderAlgos.iiGreedy(cm))
-        case DP_LD       => Left(OrderAlgos.dpLeftDeep(cm))
-        case ZSTREAM     => Right(TreeAlgos.zstream(cm, (0 until cm.n).toVector))
-        case ZSTREAM_ORD => Right(TreeAlgos.zstreamOrd(cm))
-        case DP_B        => Right(TreeAlgos.dpBushy(cm))
-      }
-      val cost = plan.fold(o => orderCostByDefinition(cm, o.order), t => treeCostByDefinition(cm, t))
-      OldBranch(positive, negs, stats, last, plan, cost)
-    }
-  }
 
   /** `Cost_ord`: the order's steps summed front to back. */
   def orderCostByDefinition(cm: CostModel, order: Vector[Int]): Double =
@@ -189,19 +243,20 @@ object PlanningExactSpec {
   }
 
   /** `PM(S)` computed from `Stats` directly (§4.1, §6.2), in the model's
-    * multiplication order.
+    * multiplication order: from the highest element down, each element `i`
+    * multiplies the value of the elements above it by `card(i)` and by its
+    * selectivities to them in ascending order (skip-till-any), or by its
+    * selectivities to itself and to them (skip-till-next, then `W·min r`).
     */
   def pmByDefinition(s: Stats, strategy: Strategy, mask: Int): Double = {
     val in = (0 until s.n).filter(i => (mask & (1 << i)) != 0)
-    if (strategy == AnyMatch) {
-      val p = in.foldLeft(1.0)((acc, i) => acc * s.card(i))
-      val sp = (for (a <- in; b <- in if b > a) yield (a, b)).foldLeft(1.0) { case (acc, (a, b)) => acc * s.sel(a)(b) }
-      p * sp
-    } else {
-      val mn = in.foldLeft(Double.MaxValue)((acc, i) => math.min(acc, s.rates(i)))
-      val sp = (for (a <- in; b <- in if b >= a) yield (a, b)).foldLeft(1.0) { case (acc, (a, b)) => acc * s.sel(a)(b) }
-      s.window * mn * sp
+    def row(i: Int, js: Seq[Int]): Double = js.foldLeft(1.0)((acc, j) => acc * s.sel(i)(j))
+    val v = in.indices.reverse.foldLeft(1.0) { (v, k) =>
+      val i = in(k)
+      if (strategy == AnyMatch) v * s.card(i) * row(i, in.drop(k + 1)) else v * row(i, in.drop(k))
     }
+    if (strategy == AnyMatch) v
+    else s.window * in.foldLeft(Double.MaxValue)((acc, i) => math.min(acc, s.rates(i))) * v
   }
 
   /** `Planner.buildStats` as a fold of `timesSel`, one matrix copy per predicate. */
